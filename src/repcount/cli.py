@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .count import CountReport, InfiniteRepresentations, build_quotient_algebra, count_from_run
 from .decide import DecisionInput, Outcome, PipelineRun, RunOptions, run_pipeline
-from .genmat import _all_words, length_bound, standard_identity
+from .genmat import certificate_words, length_bound, standard_identity
 from .groebner import ResourceLimitExceeded, ResourceLimits
 from .matrices import trace_of_product
 from .presentation import PresentationError, parse_presentation
@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--quotient-mode", choices=("saturate", "single"), default="saturate",
                         help="full saturation or a single colon-ideal step")
         cmd.add_argument("--length-bound-override", type=int, default=None,
-                        help="replace the computed certificate word length bound")
+                        help="replace the computed bound on the length of the "
+                        "power-free certificate words")
     return parser
 
 
@@ -140,7 +141,8 @@ def _emit_dumps(targets, run: PipelineRun, report: CountReport | None) -> None:
 
 
 def _dump_certificates(run: PipelineRun, err) -> None:
-    """Stream raw certificates one by one; nothing is retained."""
+    """Stream the unreduced certificates on the words the pipeline uses, one
+    by one; nothing is retained."""
     n = run.input.n
     if n == 1:
         print("# certificate set for n = 1", file=err)
@@ -151,9 +153,9 @@ def _dump_certificates(run: PipelineRun, err) -> None:
     if max_len is None:
         max_len = length_bound(n)
     m = 2 * (n - 1)
-    print("# certificates tr(M0 * s_%d(...)), words up to length %d" % (m, max_len),
-          file=err)
-    words = _all_words(space.s, max_len)
+    print("# certificates tr(M0 * s_%d(...)), words up to length %d with no factor u^%d"
+          % (m, max_len, n), file=err)
+    words = certificate_words(space.s, max_len, n)
     word_matrix = {w: space.word_matrix(w) for w in words}
     emitted = 0
     for rest in combinations(words, m):
@@ -194,8 +196,9 @@ def _verbose_decide(run: PipelineRun) -> None:
           % (m.variables, m.relation_generators, m.relations_gb_size,
              m.relations_gb_max_degree))
     if m.word_length_bound is not None:
-        print("certificate word length bound: %d" % m.word_length_bound)
-    print("certificate values kept: %d of %d candidates, multipliers after shrink: %d"
+        print("certificate word length bound: %d (%d power-free words)"
+              % (m.word_length_bound, m.certificate_words))
+    print("certificate values kept: %d of %d candidates, multipliers: %d"
           % (m.certificate_values, m.certificate_candidates, m.multipliers))
     if m.locus_gb_size is not None:
         print("locus basis: %d elements (max degree %s)"

@@ -7,11 +7,13 @@ to get the ideal of the closed set swept out by irreducible representations
 modulo that ideal.  All generators algebraic means finitely many equivalence
 classes; a transcendental one is a witness to infinitely many.
 
-Certificates are collapsed to normal forms against the relations ideal before
-the saturation: entries of word products are reduced as the products are
-formed, which keeps the intermediate polynomials small, and the multiplier
-set is then shrunk to a Groebner basis of what the certificates add to the
-relations ideal.  None of this changes the saturated ideal.
+Certificates are built from the n-th-power-free words only, which span the
+same module as all words (see `certificate_words`), and collapsed to normal
+forms against the relations ideal before the saturation: entries of word
+products are reduced as the products are formed, which keeps the
+intermediate polynomials small.  The saturation then runs at the certificate
+values or at a Groebner basis of what they add to the relations ideal,
+whichever set is smaller.  None of this changes the saturated ideal.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .genmat import (
     GenericMatrixSpace,
     IrreducibilitySet,
     TraceGenerator,
-    _all_words,
     build_generic_space,
+    certificate_words,
     irreducibility_set,
     length_bound,
     relations_ideal,
@@ -137,6 +139,7 @@ class PipelineMetrics:
     relations_gb_size: int = 0
     relations_gb_max_degree: int = 0
     word_length_bound: int | None = None
+    certificate_words: int | None = None
     certificate_candidates: int = 0
     certificate_values: int = 0
     multipliers: int = 0
@@ -156,6 +159,7 @@ class PipelineMetrics:
             "relations_gb_size": self.relations_gb_size,
             "relations_gb_max_degree": self.relations_gb_max_degree,
             "word_length_bound": self.word_length_bound,
+            "certificate_words": self.certificate_words,
             "certificate_candidates": self.certificate_candidates,
             "certificate_values": self.certificate_values,
             "multipliers": self.multipliers,
@@ -286,17 +290,19 @@ def _nf_alternating(mats: Sequence[Matrix], basis: GroebnerBasis, budget: Budget
 
 def collapsed_certificate_values(space: GenericMatrixSpace, basis: GroebnerBasis,
                                  max_len: int, limits=None):
-    """Normal forms of all certificates against the relations basis.
+    """Normal forms of the certificates on n-th-power-free words against the
+    relations basis.
 
     Returns (values, candidates): distinct nonzero reduced certificates (up
-    to sign) and the number of provenance tuples examined.  Equals reducing
-    every member of the full certificate set, but word-product entries are
+    to sign) and the number of provenance tuples examined.  The values
+    generate, together with the relations, the same ideal as the reductions
+    of every member of the full certificate set; word-product entries are
     reduced as they are built, so nothing large is ever materialized.
     """
     budget = Budget.of(limits)
     n, s = space.n, space.s
     m = 2 * (n - 1)
-    words = _all_words(s, max_len)
+    words = certificate_words(s, max_len, n)
     reduced_word_matrix: dict = {(): Matrix.identity(n, space.ring.one, space.ring.zero)}
     for w in words[1:]:
         prev = reduced_word_matrix[w[:-1]]
@@ -324,17 +330,22 @@ def collapsed_certificate_values(space: GenericMatrixSpace, basis: GroebnerBasis
 
 def _shrink_multipliers(relations_basis: GroebnerBasis, values: Sequence[Polynomial],
                         order: MonomialOrder, budget: Budget) -> list:
-    """Replace the certificate values by a Groebner basis of what they add.
+    """The smaller of two multiplier sets: the certificate values, or a
+    Groebner basis of what they add to the relations ideal.
 
-    The saturation only depends on the ideal the multipliers generate on top
-    of the relations ideal, so generators of (relations + certificates) that
-    do not lie in the relations ideal serve as a much smaller multiplier set.
+    The saturation I : J^infinity only depends on I + J, so generators of
+    (relations + certificates) that do not lie in the relations ideal give
+    the same locus.  That basis can be smaller than the values (9 values
+    become 1 multiplier on the free algebra on two generators at n = 2) or
+    larger (1 value becomes 4 on Q[S3]); every multiplier costs a
+    saturation, so the smaller set wins and the basis wins ties.
     """
     if not values:
         return []
     gb_all = buchberger(list(relations_basis.elements) + list(values),
                         order, budget, ring=relations_basis.ring)
-    return [g for g in gb_all.elements if not relations_basis.normal_form(g, budget).is_zero]
+    shrunk = [g for g in gb_all.elements if not relations_basis.normal_form(g, budget).is_zero]
+    return list(values) if len(values) < len(shrunk) else shrunk
 
 
 def saturated_locus(relations: Ideal, relations_basis: GroebnerBasis,
@@ -465,6 +476,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
                 if max_len is None:
                     max_len = length_bound(n)
                 metrics.word_length_bound = max_len
+                metrics.certificate_words = len(certificate_words(space.s, max_len, n))
                 if relations_basis.is_unit:
                     values, candidates = [], 0
                 else:

@@ -11,7 +11,8 @@ generic matrix (x[i,j,l]).  This module builds:
   * the irreducibility certificate set: polynomials of the form
     trace(M0 * s_m(M1, ..., Mm)) with m = 2(n-1), which vanish simultaneously
     exactly at the non-irreducible points.  Word lengths run up to the
-    Pappacena-style bound returned by `length_bound`.
+    Pappacena-style bound returned by `length_bound`, and `certificate_words`
+    lists the n-th-power-free words, which give the same certificate ideal.
 
 The certificate polynomials can be large, so the set stores provenance words
 and expands members on demand instead of holding every expansion in memory.
@@ -222,6 +223,45 @@ def _all_words(s: int, max_len: int) -> list:
     return out
 
 
+def _ends_in_power(word: tuple, n: int) -> bool:
+    """Whether some suffix of word equals u^n for a nonempty word u."""
+    for period in range(1, len(word) // n + 1):
+        tail = word[len(word) - n * period:]
+        if tail == tail[:period] * n:
+            return True
+    return False
+
+
+def certificate_words(s: int, max_len: int, n: int) -> list:
+    """The n-th-power-free words of length 0..max_len: those with no factor
+    u^n for a nonempty word u.  Sorted by length then lexicographically, like
+    `_all_words`, and prefix-closed.
+
+    They B-span the same module as all words of length <= max_len, so the
+    certificates built from them generate the same ideal.  By induction on
+    the length L: a word w of length L with a factor u^n is a*u^n*b, and
+    Cayley-Hamilton gives u^n = sum_{k<n} c_k(u) u^k with c_k in B, so w is a
+    B-combination of the shorter words a*u^k*b, which by induction lie in the
+    B-span of the power-free words of length < L.  The certificate
+    tr(M0 * s_m(M1..Mm)) is B-multilinear in its word slots, so each
+    certificate over all words is a B-combination of certificates over
+    power-free words (a repeated slot vanishes, a permuted one flips the
+    sign).  This is the trace-identity argument of Procesi, Adv. Math. 19
+    (1976).
+
+    Every prefix of a power-free word is power-free, so the list grows by
+    extending the previous length's words one letter at a time; a new power
+    factor can then only be a suffix.
+    """
+    out = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [w + (letter,) for w in frontier for letter in range(s)
+                    if not _ends_in_power(w + (letter,), n)]
+        out.extend(frontier)
+    return out
+
+
 @dataclass(frozen=True)
 class CertificateMember:
     """One certificate: provenance words (M0, M1, .., Mm) plus its expansion key."""
@@ -274,7 +314,9 @@ def irreducibility_set(space: GenericMatrixSpace, max_len: int | None = None,
 
     Pruning: the M1..Mm slots are unordered without repeats (permutations
     only flip the sign, repeats vanish), and M0 ranges over all words
-    including the empty one.
+    including the empty one.  Words are not restricted to the power-free
+    ones of `certificate_words`, so this full enumeration serves as the
+    reference the pipeline's reduced set is checked against.
     """
     n, s = space.n, space.s
     if n < 2:

@@ -36,6 +36,12 @@ class TestDecide:
         assert "tr(x1): y^2 - y" in out
         assert "stage" in out
 
+    def test_verbose_reports_power_free_words(self, capsys):
+        code, out, err = run_cli(capsys, "decide", alg("qplane"), "-n", "2", "-v")
+        assert code == 0
+        assert "certificate word length bound: 4 (7 power-free words)" in out
+        assert "of 147 candidates" in out
+
     def test_inconclusive_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("s3"), "-n", "2",
                                  "--max-seconds", "0.0001")
@@ -167,6 +173,13 @@ class TestDumps:
         assert code == 0
         assert "certificates tr(M0 * s_2(...))" in err
         assert "0 nonzero certificates streamed" in err
+
+    def test_certificate_dump_uses_power_free_words(self, capsys):
+        code, out, err = run_cli(capsys, "decide", alg("free2"), "-n", "2", "--dump", "sset")
+        assert code == 0
+        assert "words up to length 4 with no factor u^2" in err
+        assert "(0, 1, 0)" in err
+        assert "(0, 0)" not in err and "(1, 1)" not in err
 
     def test_algebra_dump(self, capsys):
         code, out, err = run_cli(capsys, "count", alg("idempotent"), "-n", "1",

@@ -9,6 +9,7 @@ from repcount.decide import (
     MinimalPolynomial,
     Outcome,
     RunOptions,
+    _shrink_multipliers,
     collapsed_certificate_values,
     decide_finiteness,
     irreducible_locus_ideal,
@@ -16,8 +17,15 @@ from repcount.decide import (
     minimal_polynomial,
     run_pipeline,
 )
-from repcount.genmat import build_generic_space, irreducibility_set, relations_ideal
+from repcount.genmat import (
+    _all_words,
+    build_generic_space,
+    certificate_words,
+    irreducibility_set,
+    relations_ideal,
+)
 from repcount.groebner import (
+    Budget,
     GroebnerBasis,
     Ideal,
     ResourceLimits,
@@ -27,6 +35,8 @@ from repcount.groebner import (
 )
 from repcount.poly import MonomialOrder, PolyRing, auxiliary
 from repcount.presentation import parse_presentation
+
+from conftest import load
 
 GREVLEX = MonomialOrder.grevlex()
 R2 = PolyRing.ranked([auxiliary("t", i) for i in range(2)])
@@ -136,6 +146,15 @@ class TestLocusIdeal:
         locus = irreducible_locus_ideal(ideal, [R2.one])
         assert equal_ideals(locus.as_ideal(), ideal)
 
+    def test_multipliers_are_the_smaller_set(self):
+        # <u^2 - v, uv - 1> has the 3-element basis {u^2 - v, uv - 1, v^2 - u},
+        # so the two values win; three values spanning <u> shrink to {u}
+        empty = basis_of()
+        values = [U * U - V, U * V - 1]
+        assert _shrink_multipliers(empty, values, GREVLEX, Budget()) == values
+        shrunk = _shrink_multipliers(empty, [U, U * V, U + U * V], GREVLEX, Budget())
+        assert shrunk == [U]
+
     def test_accepts_certificate_set_object(self):
         space = build_generic_space(2, 2)
         p = parse_presentation("generators: X, Y\nrelation: X*Y - Y*X\n")
@@ -147,22 +166,18 @@ class TestLocusIdeal:
 
 class TestCollapsedValues:
     def test_matches_raw_reduction(self):
-        # against the zero ideal the collapse must reproduce the raw
-        # certificate expansions up to sign
+        # against the zero ideal the power-free collapse must generate the
+        # same ideal as the raw certificate expansions over all words
         space = build_generic_space(2, 2)
         empty = buchberger([], GREVLEX, ring=space.ring)
-        values, candidates = collapsed_certificate_values(space, empty, 2)
-        raw = irreducibility_set(space, max_len=2)
-        raw_set = set()
-        for poly in raw.polynomials():
-            if -poly not in raw_set:
-                raw_set.add(poly)
-        assert candidates == raw.candidates
-        assert len(values) == len(raw_set)
-        assert {v if v in raw_set or -v not in raw_set else -v for v in values} \
-            or not raw_set
-        for v in values:
-            assert v in raw_set or -v in raw_set
+        for max_len in (2, 3):
+            values, candidates = collapsed_certificate_values(space, empty, max_len)
+            raw = list(irreducibility_set(space, max_len=max_len).polynomials())
+            words = len(certificate_words(2, max_len, 2))
+            assert candidates == words * (words * (words - 1) // 2)
+            assert 0 < len(values) < len(raw)
+            assert buchberger(values, GREVLEX, ring=space.ring).elements == \
+                buchberger(raw, GREVLEX, ring=space.ring).elements
 
     def test_reduction_shrinks_the_set(self):
         # modulo the commutator relations every certificate collapses to 0
@@ -242,3 +257,22 @@ class TestPipeline:
         run = pipelines("idempotent", 1)
         assert set(run.verdict.metrics.timings) >= {"relations", "certificates",
                                                     "locus", "algebraic"}
+
+    def test_power_free_words_keep_the_locus(self, pipelines, monkeypatch):
+        # full enumeration, the unreduced reference, gives the same locus
+        reduced = {name: pipelines(name, 2) for name in ("s3", "commuting_plane")}
+        monkeypatch.setattr("repcount.decide.certificate_words",
+                            lambda s, max_len, n: _all_words(s, max_len))
+        for name, run in reduced.items():
+            full = run_pipeline(DecisionInput(load(name), 2))
+            assert full.verdict.metrics.certificate_candidates > \
+                run.verdict.metrics.certificate_candidates
+            assert [str(g) for g in full.locus_basis.elements] == \
+                [str(g) for g in run.locus_basis.elements], name
+
+    def test_certificate_words_metric(self, pipelines):
+        metrics = pipelines("s3", 2).verdict.metrics.as_dict()
+        assert metrics["certificate_words"] == 7
+        assert metrics["certificate_candidates"] == 147
+        assert metrics["certificate_values"] == metrics["multipliers"] == 1
+        assert pipelines("s3", 1).verdict.metrics.certificate_words is None

@@ -18,6 +18,7 @@ from repcount.genmat import (
     _all_words,
     _necklaces,
     build_generic_space,
+    certificate_words,
     irreducibility_set,
     length_bound,
     relations_ideal,
@@ -260,3 +261,34 @@ class TestCertificates:
         space = build_generic_space(2, 1)
         sset = irreducibility_set(space)
         assert sset.max_len == length_bound(2)
+
+
+def has_power_factor(word, n):
+    """Brute force: some factor of word equals u^n for a nonempty u."""
+    for start in range(len(word)):
+        for period in range(1, (len(word) - start) // n + 1):
+            u = word[start:start + period]
+            if word[start:start + n * period] == u * n:
+                return True
+    return False
+
+
+class TestCertificateWords:
+    def test_counts(self):
+        assert certificate_words(2, 4, 2) == [(), (0,), (1,), (0, 1), (1, 0),
+                                              (0, 1, 0), (1, 0, 1)]
+        assert certificate_words(1, 8, 3) == [(), (0,), (0, 0)]
+
+    def test_prefix_closed(self):
+        for s, max_len, n in ((2, 6, 2), (3, 5, 2), (2, 8, 3)):
+            words = set(certificate_words(s, max_len, n))
+            assert all(w[:-1] in words for w in words if w)
+
+    def test_matches_brute_force_filter(self):
+        # same words in the same order as filtering the full enumeration
+        for s in range(1, 4):
+            for max_len in range(0, 7):
+                for n in (2, 3):
+                    expected = [w for w in _all_words(s, max_len)
+                                if not has_power_factor(w, n)]
+                    assert certificate_words(s, max_len, n) == expected, (s, max_len, n)
