@@ -178,8 +178,10 @@ def _dump_algebra(run: PipelineRun, report: CountReport | None, err) -> None:
     if run.locus_basis.is_unit:
         print("# locus ideal is the unit ideal; the algebra is zero", file=err)
         return
-    algebra = build_quotient_algebra(run.locus_basis, run.generators,
-                                     run.input.options.limits)
+    if report is not None:
+        algebra = report.algebra
+    else:
+        algebra = build_quotient_algebra(run.locus_basis, run.generators, run.budget)
     print("# trace algebra basis (dimension %d)" % algebra.dimension, file=err)
     for b in algebra.basis:
         print(b, file=err)

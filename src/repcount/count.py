@@ -8,11 +8,17 @@ trace generators inside the quotient by the locus ideal.  For a finite
 dimensional commutative algebra in characteristic zero that number equals
 the rank of the trace form Tr(ab) of the regular representation: the form
 kills nilpotents and each point contributes exactly one to the rank.
+
+The algebra is built by closing the span of 1 under multiplication by the
+trace generators, which yields the matrices L_g of multiplication by each
+generator g.  Every basis element after the unit is b_i = b_p * g for an
+earlier b_p, so b_i * b_j = L_g(b_p * b_j): the structure table follows from
+those matrices without reducing any product of two basis elements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,6 +68,16 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
     are skipped.  The closure terminates exactly when every generator is
     algebraic modulo the locus ideal; max_dim is a safety valve against
     being called on an infinite family.
+
+    The closure reduces every product basis[k] * g once, and those are the
+    only normal forms taken: their coordinates are column k of the matrix
+    L_g of multiplication by g.  Each new element is b_i = b_p * g mod the
+    locus for a parent p < i, so b_i * b_j = L_g (b_p * b_j), and the
+    structure constants follow row by row from row p.  This is exact, not a
+    shortcut: the algebra is commutative and associative, the closure has
+    checked that every basis-times-generator product lies in the span, and
+    the span contains 1, so the rows are the coordinates of the reduced
+    products b_i * b_j themselves.
     """
     budget = Budget.of(limits)
     ring = locus.ring
@@ -75,30 +91,41 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
     echelon = PolyEchelon()
     echelon.insert(ring.one)
     basis = [ring.one]
+    parents = [None]  # parents[i] = (p, g) with basis[i] = basis[p] * images[g]
+    columns = [[] for _ in images]  # columns[g][k]: coordinates of basis[k] * images[g]
     frontier = 0
     while frontier < len(basis):
         element = basis[frontier]
-        frontier += 1
-        for g in images:
+        for g, image in enumerate(images):
             budget.tick()
-            product = locus.normal_form(element * g, budget)
-            status, _ = echelon.insert(product)
+            product = locus.normal_form(element * image, budget)
+            status, value = echelon.insert(product)
             if status == "added":
                 basis.append(product)
+                parents.append((frontier, g))
+                columns[g].append({value: Fraction(1)})
                 if len(basis) > max_dim:
                     raise ResourceLimitExceeded(
                         "basis", "quotient algebra dimension exceeded %d" % max_dim)
-    structure = []
-    for a in basis:
-        row = []
-        for b in basis:
-            budget.tick()
-            combo = echelon.express(locus.normal_form(a * b, budget))
-            if combo is None:
-                raise RuntimeError("closure failure: product escaped the span")
-            row.append({l: c for l, c in combo.items() if c})
-        structure.append(tuple(row))
-    return FiniteDimAlgebra(tuple(basis), tuple(structure))
+            else:
+                columns[g].append(value)
+        frontier += 1
+    d = len(basis)
+    structure = [[{j: Fraction(1)} for j in range(d)]] + [[None] * d for _ in range(1, d)]
+    for i in range(1, d):
+        budget.tick()
+        p, g = parents[i]
+        column = columns[g]
+        row, source = structure[i], structure[p]
+        for j in range(i):
+            row[j] = structure[j][i]
+        for j in range(i, d):
+            out: dict = {}
+            for k, c in source[j].items():
+                for l, e in column[k].items():
+                    out[l] = out.get(l, 0) + c * e
+            row[j] = {l: c for l, c in out.items() if c}
+    return FiniteDimAlgebra(tuple(basis), tuple(tuple(row) for row in structure))
 
 
 @dataclass(frozen=True)
@@ -107,19 +134,22 @@ class TraceFormReport:
     rank: int
 
 
-def trace_form(algebra: FiniteDimAlgebra) -> TraceFormReport:
+def trace_form(algebra: FiniteDimAlgebra, limits=None) -> TraceFormReport:
     """Gram matrix Tr(b_i b_j) of the regular-representation trace form."""
+    budget = Budget.of(limits)
     d = algebra.dimension
     traces = [algebra.regular_trace(l) for l in range(d)]
-    gram = []
+    gram = [[None] * d for _ in range(d)]
     for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(sum((c * traces[l] for l, c in algebra.structure[i][j].items()),
-                           Fraction(0)))
-        gram.append(tuple(row))
-    gram = tuple(gram)
-    return TraceFormReport(gram, matrix_rank(gram))
+        budget.tick()
+        row = algebra.structure[i]
+        for j in range(i, d):
+            total = Fraction(0)
+            for l, c in row[j].items():
+                total += c * traces[l]
+            gram[i][j] = gram[j][i] = total
+    gram = tuple(tuple(row) for row in gram)
+    return TraceFormReport(gram, matrix_rank(gram, budget))
 
 
 @dataclass(frozen=True)
@@ -128,6 +158,7 @@ class CountReport:
     algebra_dimension: int
     gram: tuple
     rank: int
+    algebra: FiniteDimAlgebra | None = field(default=None, compare=False, repr=False)
 
 
 def count_classes(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
@@ -141,13 +172,18 @@ def count_classes(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
     """
     if locus.is_unit:
         return CountReport(0, 0, (), 0)
-    algebra = build_quotient_algebra(locus, generators, limits, max_dim)
-    report = trace_form(algebra)
-    return CountReport(report.rank, algebra.dimension, report.gram, report.rank)
+    budget = Budget.of(limits)
+    algebra = build_quotient_algebra(locus, generators, budget, max_dim)
+    report = trace_form(algebra, budget)
+    return CountReport(report.rank, algebra.dimension, report.gram, report.rank, algebra)
 
 
 def count_from_run(run: PipelineRun, limits=None) -> CountReport:
-    """Count for a finished decision run; refuses infinite or unsettled runs."""
+    """Count for a finished decision run; refuses infinite or unsettled runs.
+
+    The count runs on the run's own budget unless other limits are given,
+    so one deadline covers deciding and counting.
+    """
     verdict = run.verdict
     if verdict.outcome is Outcome.INFINITE:
         witness = verdict.witness.render() if verdict.witness else "unknown"
@@ -157,7 +193,7 @@ def count_from_run(run: PipelineRun, limits=None) -> CountReport:
         raise ResourceLimitExceeded(
             "time", verdict.inconclusive_reason or "decision did not complete")
     report = count_classes(run.locus_basis, run.generators,
-                           limits or run.input.options.limits)
+                           run.budget if limits is None else limits)
     verdict.metrics.algebra_dimension = report.algebra_dimension
     verdict.metrics.gram_rank = report.rank
     return report

@@ -148,7 +148,7 @@ class GroebnerBasis:
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return self.ring is other.ring and self.elements == other.elements
+        return self.ring == other.ring and self.elements == other.elements
 
     def __hash__(self):
         return hash(self.elements)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .groebner import Budget
 from .poly import Polynomial
 
 
@@ -81,8 +82,10 @@ class PolyEchelon:
         return {k: -c for k, c in combo.items()}
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix by plain Gaussian elimination."""
+def matrix_rank(rows: Sequence[Sequence[Fraction]], limits=None) -> int:
+    """Rank of a rational matrix by plain Gaussian elimination; with limits,
+    the budget is checked before each row operation."""
+    budget = Budget.of(limits)
     work = [list(map(Fraction, r)) for r in rows]
     ncols = len(work[0]) if work else 0
     rank = 0
@@ -96,6 +99,7 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         lead = work[rank][col]
         for r in range(rank + 1, len(work)):
             if work[r][col]:
+                budget.tick()
                 scale = work[r][col] / lead
                 for c in range(col, ncols):
                     work[r][c] -= scale * work[rank][c]

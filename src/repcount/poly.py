@@ -132,6 +132,18 @@ class PolyRing:
             terms[tuple(expo)] = c
         return Polynomial._raw(self, terms)
 
+    def __eq__(self, other):
+        """Rings are equal when they have the same ranked variables, so a
+        ring built twice compares equal to itself."""
+        if self is other:
+            return True
+        if not isinstance(other, PolyRing):
+            return NotImplemented
+        return self.variables == other.variables
+
+    def __hash__(self):
+        return hash(self.variables)
+
     def __repr__(self) -> str:
         return "PolyRing(%s)" % ", ".join(v.label for v in self.variables)
 
@@ -314,7 +326,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.ring is other.ring and self.terms == other.terms
+            return ((self.ring is other.ring or self.ring == other.ring)
+                    and self.terms == other.terms)
         if isinstance(other, (int, Fraction)):
             return self.is_constant and self.constant_value() == other
         return NotImplemented

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, JSON stability."""
 
 import json
+import time
 
 import pytest
 
@@ -188,11 +189,59 @@ class TestDumps:
         assert "trace algebra basis (dimension 2)" in err
         assert "gram matrix" in err
 
+    def test_count_dump_reuses_the_counted_algebra(self, capsys, monkeypatch):
+        def no_second_build(*args, **kwargs):
+            raise AssertionError("the algebra was built a second time")
+
+        monkeypatch.setattr("repcount.cli.build_quotient_algebra", no_second_build)
+        code, out, err = run_cli(capsys, "count", alg("s3"), "-n", "1", "--dump", "algebra")
+        assert code == 0
+        assert "trace algebra basis (dimension 2)" in err
+        assert "gram matrix of the trace form (rank 2)" in err
+
+    def test_decide_dump_builds_the_algebra(self, capsys):
+        code, out, err = run_cli(capsys, "decide", alg("idempotent"), "-n", "1",
+                                 "--dump", "algebra")
+        assert code == 0
+        assert "trace algebra basis (dimension 2)" in err
+        assert "gram matrix" not in err
+
     def test_duplicate_dump_emitted_once(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("idempotent"), "-n", "1",
                                  "--dump", "ideal", "--dump", "ideal")
         assert code == 0
         assert err.count("# relations ideal") == 1
+
+
+# Commutative, so at n = 1 it is finite.  Deciding takes about 0.7 s on a
+# 2-core Xeon (minimal polynomials of degree up to 256, hence the raised
+# --max-degree); the trace algebra has dimension 1024, far too large to
+# count in the budget.
+SLOW_COUNT = """generators: x, y, z, w, v
+relation: x^4 - y*z - 1
+relation: y^4 - x*z - 1
+relation: z^4 - x*y - 1
+relation: w^4 - x - 1
+relation: v^4 - 1
+"""
+
+
+class TestBudget:
+    def test_count_stage_overrun_stays_in_the_one_budget(self, capsys, tmp_path):
+        # one deadline covers deciding and counting: a count that overruns
+        # stops at the run's budget (plus the tick overshoot), not at a
+        # second full budget started after the decision
+        path = tmp_path / "slow_count.alg"
+        path.write_text(SLOW_COUNT)
+        budget = 2.5
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "count", str(path), "-n", "1",
+                                 "--max-seconds", str(budget), "--max-degree", "1000")
+        elapsed = time.monotonic() - t0
+        assert code == 3
+        assert "time limit exceeded" in err
+        assert "INCONCLUSIVE" not in err  # the decision finished; the count overran
+        assert elapsed < budget + 0.3
 
 
 class TestParser:

@@ -5,6 +5,7 @@ with basis (1, x) of Q[x]/(f) the form is Tr(b_i b_j) of the regular
 representation, e.g. for x^2 - x: Tr(1) = 2, Tr(x) = 1, Tr(x^2) = 1.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,13 @@ from repcount.count import (
     count_from_run,
     trace_form,
 )
-from repcount.decide import DecisionInput, decide_finiteness, run_pipeline
-from repcount.groebner import buchberger
+from repcount.decide import DecisionInput, Outcome, decide_finiteness, run_pipeline
+from repcount.groebner import GroebnerBasis, ResourceLimitExceeded, ResourceLimits, buchberger
+from repcount.linalg import PolyEchelon
 from repcount.poly import MonomialOrder
 from repcount.presentation import parse_presentation
+
+from conftest import ALGEBRAS
 
 GREVLEX = MonomialOrder.grevlex()
 
@@ -90,6 +94,14 @@ class TestGuards:
         with pytest.raises(ValueError):
             build_quotient_algebra(run.locus_basis, run.generators)
 
+    def test_count_runs_on_the_run_budget(self):
+        p = parse_presentation((ALGEBRAS / "idempotent.alg").read_text())
+        run = run_pipeline(DecisionInput(p, 1))
+        run.budget.deadline = time.monotonic() - 1.0  # the decision used it all up
+        with pytest.raises(ResourceLimitExceeded):
+            count_from_run(run)
+        assert count_from_run(run, ResourceLimits()).count == 2  # explicit limits
+
     def test_metrics_updated(self, pipelines):
         run = pipelines("idempotent", 1)
         count_from_run(run)
@@ -121,3 +133,97 @@ class TestAlgebraStructure:
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
         # basis is (1, x) with x*x = x
         assert algebra.structure[1][1] == {1: Fraction(1)}
+
+
+def direct_algebra(locus, generators):
+    """The structure table the slow way: close the span of 1 under the
+    generators, then reduce every product of two basis elements and read off
+    its coordinates.  Independent of the multiplication-table recurrence."""
+    ring = locus.ring
+    images = [nf for nf in (locus.normal_form(tg.value) for tg in generators)
+              if not nf.is_constant]
+    echelon = PolyEchelon()
+    echelon.insert(ring.one)
+    basis = [ring.one]
+    frontier = 0
+    while frontier < len(basis):
+        for g in images:
+            product = locus.normal_form(basis[frontier] * g)
+            if echelon.insert(product)[0] == "added":
+                basis.append(product)
+        frontier += 1
+    structure = []
+    for a in basis:
+        row = []
+        for b in basis:
+            combo = echelon.express(locus.normal_form(a * b))
+            assert combo is not None, "product escaped the span"
+            row.append({l: c for l, c in combo.items() if c})
+        structure.append(tuple(row))
+    return tuple(basis), tuple(structure)
+
+
+def direct_gram(basis, structure):
+    d = len(basis)
+    traces = [sum((structure[l][k].get(k, 0) for k in range(d)), Fraction(0))
+              for l in range(d)]
+    return tuple(tuple(sum((c * traces[l] for l, c in structure[i][j].items()), Fraction(0))
+                       for j in range(d)) for i in range(d))
+
+
+C4_C6 = """generators: x, y
+relation: x^4 - 1
+relation: y^6 - 1
+relation: x*y - y*x
+"""
+
+
+# at n = 1 these have no finite trace algebra: three infinite families, and
+# the Weyl algebra, whose locus is the unit ideal
+NO_ALGEBRA_AT_N1 = {"free2", "qplane", "commuting_plane", "weyl"}
+
+
+def _oracle_cases():
+    cases = [pytest.param(path.read_text(), 1, id=path.stem + "-n1")
+             for path in sorted(ALGEBRAS.glob("*.alg")) if path.stem not in NO_ALGEBRA_AT_N1]
+    cases.append(pytest.param((ALGEBRAS / "s3.alg").read_text(), 2, id="s3-n2"))
+    cases.append(pytest.param(C4_C6, 1, id="c4xc6-n1"))
+    return cases
+
+
+class TestStructureOracle:
+    """The recurrence b_i * b_j = L_g(b_p * b_j) against direct reduction."""
+
+    def test_no_algebra_cases_are_the_excluded_ones(self, pipelines):
+        for name in NO_ALGEBRA_AT_N1:
+            run = pipelines(name, 1)
+            assert run.verdict.outcome is Outcome.INFINITE or run.locus_basis.is_unit, name
+
+    @pytest.mark.parametrize("text,n", _oracle_cases())
+    def test_recurrence_matches_direct_products(self, text, n):
+        run = run_pipeline(DecisionInput(parse_presentation(text), n))
+        assert run.verdict.outcome is Outcome.FINITE and not run.locus_basis.is_unit
+        algebra = build_quotient_algebra(run.locus_basis, run.generators)
+        basis, structure = direct_algebra(run.locus_basis, run.generators)
+        assert algebra.basis == basis
+        assert algebra.structure == structure
+        assert trace_form(algebra).gram == direct_gram(basis, structure)
+
+    def test_c4_c6_counts_its_points(self):
+        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))
+        assert report.algebra_dimension == 24
+        assert report.count == 24
+
+    def test_normal_forms_are_one_per_closure_product(self, monkeypatch):
+        run = run_pipeline(DecisionInput(parse_presentation(C4_C6), 1))
+        calls = []
+        original = GroebnerBasis.normal_form
+
+        def counting(self, f, budget=None):
+            calls.append(f)
+            return original(self, f, budget)
+
+        monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+        algebra = build_quotient_algebra(run.locus_basis, run.generators)
+        k, d = len(run.generators), algebra.dimension
+        assert 0 < len(calls) <= k * (d + 1)

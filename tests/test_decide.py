@@ -22,6 +22,7 @@ from repcount.genmat import (
     build_generic_space,
     certificate_words,
     irreducibility_set,
+    length_bound,
     relations_ideal,
 )
 from repcount.groebner import (
@@ -31,6 +32,7 @@ from repcount.groebner import (
     ResourceLimits,
     buchberger,
     equal_ideals,
+    saturate,
     unit_ideal,
 )
 from repcount.poly import MonomialOrder, PolyRing, auxiliary
@@ -162,6 +164,30 @@ class TestLocusIdeal:
         sset = irreducibility_set(space, max_len=2)
         locus = irreducible_locus_ideal(relations, sset)
         assert locus.is_unit  # commutative: every certificate is in the ideal
+
+
+D5 = """generators: a, b
+relation: a^2 - 1
+relation: b^5 - 1
+relation: a*b*a*b - 1
+"""
+
+
+class TestLocusOracle:
+    @pytest.mark.parametrize("presentation", [
+        pytest.param(load("s3"), id="s3"),
+        pytest.param(parse_presentation(D5, name="d5"), id="D5"),
+    ])
+    def test_locus_equals_fixpoint_saturation(self, presentation):
+        # the pipeline saturates the relations basis one multiplier at a
+        # time; groebner.saturate iterates colon ideals of the raw relations
+        # at all certificate values together until they stabilize
+        run = run_pipeline(DecisionInput(presentation, 2))
+        assert run.verdict.outcome is Outcome.FINITE
+        values, _ = collapsed_certificate_values(
+            run.space, run.relations_basis, length_bound(2), Budget())
+        oracle = saturate(run.relations, values)
+        assert buchberger(oracle, GREVLEX) == run.locus_basis
 
 
 class TestCollapsedValues:

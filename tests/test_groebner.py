@@ -114,6 +114,15 @@ class TestHandCases:
 
 
 class TestBasisProperties:
+    def test_bases_over_rings_built_twice_are_equal(self):
+        other = ring_xyz(3)
+        x, y, z = (other.variable(v) for v in other.variables)
+        mine = buchberger([X * Y - Z, Y * Y - 1], GREVLEX, ring=R)
+        theirs = buchberger([x * y - z, y * y - 1], GREVLEX, ring=other)
+        assert other is not R
+        assert mine == theirs and hash(mine) == hash(theirs)
+        assert mine != buchberger([X * Y - Z], GREVLEX, ring=R)
+
     def test_generators_reduce_to_zero(self):
         gens = [X * Y - Z, Y * Y - 1, X * Z - Y]
         basis = buchberger(gens, GREVLEX, ring=R)

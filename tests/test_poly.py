@@ -76,6 +76,18 @@ class TestRing:
         assert g.ring is ext
         assert R3.transfer(g) == f
 
+    def test_rings_built_twice_are_equal(self):
+        a, b = small_ring(3), small_ring(3)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != small_ring(2)
+        assert a != PolyRing(tuple(reversed(a.variables)))
+        fa = a.variable(a.variables[0]) * 3 + 1
+        fb = b.variable(b.variables[0]) * 3 + 1
+        assert fa == fb and hash(fa) == hash(fb)
+        other = PolyRing.ranked([auxiliary("s", i) for i in range(3)])
+        assert Polynomial._raw(other, dict(fa.terms)) != fa
+
     def test_transfer_rejects_missing_variable(self):
         w = R3.fresh_auxiliary("w")
         ext = R3.extended(w)
