@@ -30,7 +30,6 @@ from .decide import (
     Verdict,
     collapsed_certificate_values,
     decide_finiteness,
-    irreducible_locus_ideal,
     is_algebraic,
     minimal_polynomial,
     run_pipeline,
@@ -39,10 +38,9 @@ from .decide import (
 from .genmat import (
     CyclicWord,
     GenericMatrixSpace,
-    IrreducibilitySet,
     TraceGenerator,
     build_generic_space,
-    irreducibility_set,
+    certificates,
     length_bound,
     relations_ideal,
     standard_identity,

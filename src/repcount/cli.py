@@ -19,14 +19,12 @@ import argparse
 import json
 import sys
 import traceback
-from itertools import combinations
 from pathlib import Path
 
 from .count import CountReport, InfiniteRepresentations, build_quotient_algebra, count_from_run
 from .decide import DecisionInput, Outcome, PipelineRun, RunOptions, run_pipeline
-from .genmat import certificate_words, length_bound, standard_identity
+from .genmat import certificate_words, certificates, length_bound
 from .groebner import ResourceLimitExceeded, ResourceLimits
-from .matrices import trace_of_product
 from .presentation import PresentationError, parse_presentation
 
 _DUMP_CHOICES = ("ideal", "gb", "traces", "sset", "algebra")
@@ -55,15 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="abort past this polynomial degree (default 60)")
         cmd.add_argument("--max-basis", type=int, default=20000,
                         help="abort past this many basis elements (default 20000)")
-        cmd.add_argument("--threads", type=int, default=1,
-                        help="worker cap (accepted for compatibility; engine is sequential)")
         cmd.add_argument("--order", choices=("grevlex", "lex"), default="grevlex",
                         help="monomial order for non-elimination bases")
-        cmd.add_argument("--quotient-mode", choices=("saturate", "single"), default="saturate",
-                        help="full saturation or a single colon-ideal step")
         cmd.add_argument("--length-bound-override", type=int, default=None,
                         help="replace the computed bound on the length of the "
-                        "power-free certificate words")
+                        "power-free certificate words (below it, the verdict is "
+                        "not certified)")
     return parser
 
 
@@ -80,9 +75,22 @@ def _options(args: argparse.Namespace) -> RunOptions:
         else args.max_seconds,
         max_degree=args.max_degree,
         max_basis=args.max_basis)
-    return RunOptions(quotient_mode=args.quotient_mode, order=args.order,
-                      limits=limits, length_bound_override=args.length_bound_override,
-                      threads=args.threads)
+    return RunOptions(order=args.order, limits=limits,
+                      length_bound_override=args.length_bound_override)
+
+
+def _run(args: argparse.Namespace) -> PipelineRun:
+    """Parse the input and run the pipeline; warn on stderr when the verdict
+    will not be a proof."""
+    text, name = _read_input(args.path)
+    presentation = parse_presentation(text, name=name)
+    decision_input = DecisionInput(presentation, args.dimension, _options(args))
+    if not decision_input.certified:
+        print("warning: --length-bound-override %d is below the proven bound %d; "
+              "the result is not certified"
+              % (decision_input.word_length_bound, length_bound(args.dimension)),
+              file=sys.stderr)
+    return run_pipeline(decision_input)
 
 
 def _json_payload(run: PipelineRun, report: CountReport | None) -> dict:
@@ -97,6 +105,7 @@ def _json_payload(run: PipelineRun, report: CountReport | None) -> dict:
     return {
         "status": status,
         "verdict": verdict.outcome.value,
+        "certified": run.input.certified,
         "count": report.count if report is not None else None,
         "witness": verdict.witness.render() if verdict.witness else None,
         "minimal_polynomials": minimal,
@@ -148,26 +157,13 @@ def _dump_certificates(run: PipelineRun, err) -> None:
         print("# certificate set for n = 1", file=err)
         print("1", file=err)
         return
-    space = run.space
-    max_len = run.input.options.length_bound_override
-    if max_len is None:
-        max_len = length_bound(n)
-    m = 2 * (n - 1)
+    max_len = run.input.word_length_bound
     print("# certificates tr(M0 * s_%d(...)), words up to length %d with no factor u^%d"
-          % (m, max_len, n), file=err)
-    words = certificate_words(space.s, max_len, n)
-    word_matrix = {w: space.word_matrix(w) for w in words}
+          % (2 * (n - 1), max_len, n), file=err)
     emitted = 0
-    for rest in combinations(words, m):
-        alt = standard_identity(m, [word_matrix[w] for w in rest])
-        if alt.is_zero:
-            continue
-        for m0 in words:
-            poly = trace_of_product(word_matrix[m0], alt)
-            if poly.is_zero:
-                continue
-            emitted += 1
-            print("words=%r : %s" % ((m0,) + rest, poly), file=err)
+    for words, poly in certificates(run.space, certificate_words(run.space.s, max_len, n)):
+        emitted += 1
+        print("words=%r : %s" % (words, poly), file=err)
     print("# %d nonzero certificates streamed" % emitted, file=err)
 
 
@@ -212,9 +208,7 @@ def _verbose_decide(run: PipelineRun) -> None:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    text, name = _read_input(args.path)
-    presentation = parse_presentation(text, name=name)
-    run = run_pipeline(DecisionInput(presentation, args.dimension, _options(args)))
+    run = _run(args)
     _emit_dumps(args.dump, run, None)
     verdict = run.verdict
     if args.json:
@@ -235,9 +229,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    text, name = _read_input(args.path)
-    presentation = parse_presentation(text, name=name)
-    run = run_pipeline(DecisionInput(presentation, args.dimension, _options(args)))
+    run = _run(args)
     verdict = run.verdict
     if verdict.outcome is Outcome.INCONCLUSIVE:
         _emit_dumps(args.dump, run, None)

@@ -19,19 +19,18 @@ whichever set is smaller.  None of this changes the saturated ideal.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Sequence
+from math import comb
+from typing import Sequence
 
 from .genmat import (
     GenericMatrixSpace,
-    IrreducibilitySet,
     TraceGenerator,
     build_generic_space,
     certificate_words,
-    irreducibility_set,
+    certificates,
     length_bound,
     relations_ideal,
     trace_generators,
@@ -43,12 +42,10 @@ from .groebner import (
     ResourceLimitExceeded,
     ResourceLimits,
     buchberger,
-    ideal_quotient,
     intersect,
     saturate_principal,
 )
 from .linalg import PolyEchelon
-from .matrices import Matrix, trace_of_product
 from .poly import MonomialOrder, Polynomial, base_order
 from .presentation import Presentation
 
@@ -58,19 +55,13 @@ DEFAULT_LIMITS = ResourceLimits(max_seconds=300.0, max_degree=60, max_basis=2000
 
 @dataclass(frozen=True)
 class RunOptions:
-    quotient_mode: str = "saturate"  # "saturate" | "single"
     order: str = "grevlex"  # base order for non-elimination bases
     limits: ResourceLimits = DEFAULT_LIMITS
     length_bound_override: int | None = None
-    threads: int = 1  # accepted cap; the current engine is sequential
 
     def __post_init__(self):
-        if self.quotient_mode not in ("saturate", "single"):
-            raise ValueError("quotient mode must be 'saturate' or 'single'")
         if self.order not in ("lex", "grevlex"):
             raise ValueError("order must be 'lex' or 'grevlex'")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.length_bound_override is not None and self.length_bound_override < 0:
             raise ValueError("length bound override must be nonnegative")
 
@@ -84,6 +75,22 @@ class DecisionInput:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("representation dimension must be at least 1")
+
+    @property
+    def word_length_bound(self) -> int | None:
+        """Length cap on the certificate words: the override, or else
+        `length_bound(n)`; None at n = 1, which needs no certificates."""
+        if self.n == 1:
+            return None
+        if self.options.length_bound_override is not None:
+            return self.options.length_bound_override
+        return length_bound(self.n)
+
+    @property
+    def certified(self) -> bool:
+        """Whether a verdict is a proof: False only when the override caps
+        the certificate words below the proven bound."""
+        return self.n == 1 or self.word_length_bound >= length_bound(self.n)
 
 
 class Outcome(str, Enum):
@@ -151,25 +158,7 @@ class PipelineMetrics:
     timings: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "n": self.n,
-            "s": self.s,
-            "variables": self.variables,
-            "relation_generators": self.relation_generators,
-            "relations_gb_size": self.relations_gb_size,
-            "relations_gb_max_degree": self.relations_gb_max_degree,
-            "word_length_bound": self.word_length_bound,
-            "certificate_words": self.certificate_words,
-            "certificate_candidates": self.certificate_candidates,
-            "certificate_values": self.certificate_values,
-            "multipliers": self.multipliers,
-            "locus_gb_size": self.locus_gb_size,
-            "locus_gb_max_degree": self.locus_gb_max_degree,
-            "trace_generator_count": self.trace_generator_count,
-            "algebra_dimension": self.algebra_dimension,
-            "gram_rank": self.gram_rank,
-        }
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings"}
 
 
 @dataclass
@@ -263,69 +252,28 @@ def is_algebraic(f: Polynomial, basis: GroebnerBasis, limits=None) -> bool:
 # -- certificate collapse and saturation ------------------------------------
 
 
-def _nf_matrix(mat: Matrix, basis: GroebnerBasis, budget: Budget) -> Matrix:
-    return mat.map(lambda e: basis.normal_form(e, budget))
-
-
-def _nf_alternating(mats: Sequence[Matrix], basis: GroebnerBasis, budget: Budget,
-                    dim: int) -> Matrix:
-    """standard_identity with entrywise reduction after every product."""
-    m = len(mats)
-    acc = {frozenset(): Matrix.identity(dim)}
-    for _ in range(m):
-        nxt: dict = {}
-        for used, mat in acc.items():
-            for k in range(m):
-                if k in used:
-                    continue
-                sign = (-1) ** sum(1 for r in range(k) if r not in used)
-                term = _nf_matrix(mat * mats[k], basis, budget)
-                if sign < 0:
-                    term = -term
-                key = used | {k}
-                nxt[key] = term if key not in nxt else nxt[key] + term
-        acc = nxt
-    return acc[frozenset(range(m))]
-
-
 def collapsed_certificate_values(space: GenericMatrixSpace, basis: GroebnerBasis,
                                  max_len: int, limits=None):
     """Normal forms of the certificates on n-th-power-free words against the
     relations basis.
 
     Returns (values, candidates): distinct nonzero reduced certificates (up
-    to sign) and the number of provenance tuples examined.  The values
-    generate, together with the relations, the same ideal as the reductions
-    of every member of the full certificate set; word-product entries are
-    reduced as they are built, so nothing large is ever materialized.
+    to sign) and the number of provenance tuples (M0, M1..Mm) examined,
+    words * C(words, m).  The values generate, together with the relations,
+    the same ideal as the reductions of every member of the full certificate
+    set; word-product entries are reduced as they are built, so nothing
+    large is ever materialized.
     """
     budget = Budget.of(limits)
-    n, s = space.n, space.s
-    m = 2 * (n - 1)
-    words = certificate_words(s, max_len, n)
-    reduced_word_matrix: dict = {(): Matrix.identity(n, space.ring.one, space.ring.zero)}
-    for w in words[1:]:
-        prev = reduced_word_matrix[w[:-1]]
-        reduced_word_matrix[w] = _nf_matrix(prev * space.matrices[w[-1]], basis, budget)
+    words = certificate_words(space.s, max_len, space.n)
     values = []
     seen: set = set()
-    candidates = 0
-    for rest in combinations(words, m):
-        budget.tick()
-        alt = _nf_alternating([reduced_word_matrix[w] for w in rest], basis, budget, n)
-        if alt.is_zero:
-            candidates += len(words)
+    for _, value in certificates(space, words, lambda e: basis.normal_form(e, budget), budget):
+        if value in seen or -value in seen:
             continue
-        for m0 in words:
-            candidates += 1
-            value = basis.normal_form(trace_of_product(reduced_word_matrix[m0], alt), budget)
-            if value.is_zero:
-                continue
-            if value in seen or -value in seen:
-                continue
-            seen.add(value)
-            values.append(value)
-    return values, candidates
+        seen.add(value)
+        values.append(value)
+    return values, len(words) * comb(len(words), 2 * (space.n - 1))
 
 
 def _shrink_multipliers(relations_basis: GroebnerBasis, values: Sequence[Polynomial],
@@ -348,36 +296,47 @@ def _shrink_multipliers(relations_basis: GroebnerBasis, values: Sequence[Polynom
     return list(values) if len(values) < len(shrunk) else shrunk
 
 
-def saturated_locus(relations: Ideal, relations_basis: GroebnerBasis,
-                    multipliers: Sequence[Polynomial], mode: str,
-                    order: MonomialOrder, limits=None) -> GroebnerBasis:
-    """Reduced basis of the locus ideal cut out by the certificates.
+def saturated_locus(relations_basis: GroebnerBasis, values: Sequence[Polynomial],
+                    order: MonomialOrder, limits=None) -> tuple:
+    """(locus, multipliers): the reduced basis of the relations ideal
+    saturated at the certificate values, and the multipliers it was
+    saturated at.
 
-    mode "saturate": (relations : multipliers^infinity), as the intersection
-    of single-multiplier saturations.  mode "single": one quotient step
-    (relations : <multipliers>).  Empty multiplier set means no certificate
-    survives anywhere on the variety, so the locus is empty: the unit ideal.
-    Both start from the relations basis rather than the raw generators: it
-    is the same ideal, and the elimination inside each saturation finishes
-    far sooner from a Groebner basis.
+    The values are reduced modulo the relations and zeros and duplicates up
+    to sign dropped.  None left means no certificate survives anywhere on
+    the variety, so the locus is empty: the unit ideal.  A nonzero constant
+    leaves the relations ideal itself (I : 1^infinity = I; the convention at
+    n = 1).  Otherwise the saturation at the smaller multiplier set of
+    `_shrink_multipliers` is the intersection of single-multiplier
+    saturations, each started from the relations basis rather than the raw
+    generators: it is the same ideal, and the elimination inside each
+    saturation finishes far sooner from a Groebner basis.
     """
     budget = Budget.of(limits)
-    ring = relations.ring
+    ring = relations_basis.ring
     if relations_basis.is_unit:
-        return relations_basis
-    if not multipliers:
-        return buchberger([ring.one], order, budget, ring=ring)
+        return relations_basis, []
+    reduced = []
+    seen: set = set()
+    for p in values:
+        nf = relations_basis.normal_form(p, budget)
+        if nf.is_zero or nf in seen or -nf in seen:
+            continue
+        seen.add(nf)
+        reduced.append(nf)
+    if not reduced:
+        return buchberger([ring.one], order, budget, ring=ring), []
+    constant = next((v for v in reduced if v.is_constant), None)
+    if constant is not None:
+        return relations_basis, [constant]
+    multipliers = _shrink_multipliers(relations_basis, reduced, order, budget)
     base = relations_basis.as_ideal()
     acc: Ideal | None = None
     acc_gb: GroebnerBasis | None = None
     ordered = sorted(multipliers, key=lambda p: (p.total_degree(), p.num_terms()))
     for g in ordered:
         budget.tick()
-        if mode == "single":
-            part = ideal_quotient(base, g, budget)
-        else:
-            part = saturate_principal(base, g, budget)
-        part_gb = buchberger(part, order, budget, ring=ring)
+        part_gb = buchberger(saturate_principal(base, g, budget), order, budget, ring=ring)
         if part_gb.is_unit:
             continue
         if acc_gb is None:
@@ -389,45 +348,8 @@ def saturated_locus(relations: Ideal, relations_basis: GroebnerBasis,
         acc_gb = buchberger(acc, order, budget, ring=ring)
         acc = Ideal(ring, acc_gb.elements)
     if acc_gb is None:
-        return buchberger([ring.one], order, budget, ring=ring)
-    return acc_gb
-
-
-def irreducible_locus_ideal(relations: Ideal, certificates, mode: str = "saturate",
-                            order: MonomialOrder | None = None, limits=None,
-                            relations_basis: GroebnerBasis | None = None) -> GroebnerBasis:
-    """Reduced basis of the saturation of the relations ideal at the
-    certificate set (or of the single quotient step in mode "single").
-
-    An empty certificate set, or one whose members all lie in the relations
-    ideal, leaves no room for irreducible points: the result is the unit
-    ideal.  With certificates == [1] (the 1-dimensional convention) the
-    saturation is the relations ideal itself.
-    """
-    budget = Budget.of(limits)
-    order = order or MonomialOrder.grevlex()
-    if relations_basis is None:
-        relations_basis = buchberger(relations, order, budget)
-    if relations_basis.is_unit:
-        return relations_basis
-    if isinstance(certificates, IrreducibilitySet):
-        polys: Iterable[Polynomial] = certificates.polynomials()
-    else:
-        polys = certificates
-    values = []
-    seen: set = set()
-    empty = True
-    for p in polys:
-        empty = False
-        nf = relations_basis.normal_form(p, budget)
-        if nf.is_zero or nf in seen or -nf in seen:
-            continue
-        seen.add(nf)
-        values.append(nf)
-    if empty or not values:
-        return buchberger([relations.ring.one], order, budget, ring=relations.ring)
-    multipliers = _shrink_multipliers(relations_basis, values, order, budget)
-    return saturated_locus(relations, relations_basis, multipliers, mode, order, budget)
+        return buchberger([ring.one], order, budget, ring=ring), multipliers
+    return acc_gb, multipliers
 
 
 # -- the pipeline -----------------------------------------------------------
@@ -471,15 +393,12 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
             metrics.relations_gb_max_degree = relations_basis.max_degree()
 
         with clock.stage("certificates"):
+            max_len = decision_input.word_length_bound
+            metrics.word_length_bound = max_len
             if n == 1:
                 values = [space.ring.one]
                 candidates = 1
-                metrics.word_length_bound = None
             else:
-                max_len = opts.length_bound_override
-                if max_len is None:
-                    max_len = length_bound(n)
-                metrics.word_length_bound = max_len
                 metrics.certificate_words = len(certificate_words(space.s, max_len, n))
                 if relations_basis.is_unit:
                     values, candidates = [], 0
@@ -490,17 +409,8 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
             metrics.certificate_values = len(values)
 
         with clock.stage("locus"):
-            if relations_basis.is_unit:
-                locus = relations_basis
-                metrics.multipliers = 0
-            else:
-                if n == 1:
-                    multipliers = values  # saturating at 1 returns the ideal itself
-                else:
-                    multipliers = _shrink_multipliers(relations_basis, values, order, budget)
-                metrics.multipliers = len(multipliers)
-                locus = saturated_locus(relations, relations_basis, multipliers,
-                                        opts.quotient_mode, order, budget)
+            locus, multipliers = saturated_locus(relations_basis, values, order, budget)
+            metrics.multipliers = len(multipliers)
             run.locus_basis = locus
             metrics.locus_gb_size = len(locus.elements)
             metrics.locus_gb_max_degree = locus.max_degree()

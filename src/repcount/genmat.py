@@ -8,23 +8,20 @@ generic matrix (x[i,j,l]).  This module builds:
     evaluated on generic matrices;
   * trace generators: traces of words of length <= n^2, one per cyclic
     class (enough to generate the trace ring, by Razmyslov's bound);
-  * the irreducibility certificate set: polynomials of the form
+  * the irreducibility certificates: polynomials of the form
     trace(M0 * s_m(M1, ..., Mm)) with m = 2(n-1), which vanish simultaneously
     exactly at the non-irreducible points.  Word lengths run up to the
-    Pappacena-style bound returned by `length_bound`, and `certificate_words`
-    lists the n-th-power-free words, which give the same certificate ideal.
-
-The certificate polynomials can be large, so the set stores provenance words
-and expands members on demand instead of holding every expansion in memory.
+    Pappacena-style bound returned by `length_bound`, `certificate_words`
+    lists the n-th-power-free words, which give the same certificate ideal,
+    and `certificates` streams the certificates on a word list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .groebner import Budget, Ideal
 from .matrices import Matrix, trace_of_product
@@ -87,12 +84,16 @@ def relations_ideal(p: Presentation, space: GenericMatrixSpace) -> Ideal:
     return Ideal(space.ring, gens)
 
 
-def standard_identity(m: int, args: Sequence[Matrix]) -> Matrix:
+def standard_identity(m: int, args: Sequence[Matrix],
+                      reduce: Callable | None = None) -> Matrix:
     """s_m(A_1..A_m): the signed sum of all m! orderings of the product.
 
     Computed by dynamic programming over subsets (sharing partial products
     across permutations) rather than literally summing m! products.  Repeated
-    arguments make the result zero, since s_m alternates.
+    arguments make the result zero, since s_m alternates.  `reduce`, if
+    given, is applied to every entry of every partial product; a normal form
+    modulo an ideal keeps the intermediate polynomials small and gives the
+    normal form of the result.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -115,6 +116,8 @@ def standard_identity(m: int, args: Sequence[Matrix]) -> Matrix:
                 # is (-1)^(number of remaining indices smaller than k)
                 sign = (-1) ** sum(1 for r in range(k) if r not in used)
                 term = mat * args[k]
+                if reduce is not None:
+                    term = term.map(reduce)
                 if sign < 0:
                     term = -term
                 key = used | {k}
@@ -262,88 +265,37 @@ def certificate_words(s: int, max_len: int, n: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CertificateMember:
-    """One certificate: provenance words (M0, M1, .., Mm) plus its expansion key."""
+def certificates(space: GenericMatrixSpace, words: Sequence[tuple],
+                 reduce: Callable | None = None, limits=None) -> Iterator[tuple]:
+    """Yield ((M0, M1, .., Mm), value) for every nonzero certificate
+    trace(M0 * s_m(M1..Mm)) on `words`, with m = 2(n-1).
 
-    words: tuple
-    degree: int
-
-
-class IrreducibilitySet:
-    """Deduplicated certificates trace(M0 * s_m(M1..Mm)), provenance included.
-
-    Members are stored as provenance word tuples; `polynomial(k)` expands the
-    k-th member on demand (full expansions of every member at once can be very
-    large for n = 2 at the full length bound).
+    The M1..Mm slots are unordered without repeats (permutations only flip
+    the sign, repeats vanish) and M0 ranges over all of `words`; the order is
+    `for rest in combinations(words, m): for m0 in words`.  `words` must be
+    prefix-closed, as `certificate_words` and `_all_words` are: word matrices
+    are built by extending the prefix's matrix one letter.  `reduce`, if
+    given, maps every entry of every product, and the value, to its normal
+    form.  The budget ticks once per (M1..Mm) tuple.
     """
-
-    def __init__(self, space: GenericMatrixSpace, max_len: int,
-                 members: Sequence[CertificateMember], candidates: int):
-        self.space = space
-        self.max_len = max_len
-        self.members = tuple(members)
-        self.candidates = candidates  # tuples examined before dedup/zero pruning
-        self._word_matrix = lru_cache(maxsize=None)(lambda w: space.word_matrix(w))
-        self._alternating = lru_cache(maxsize=64)(self._alternating_uncached)
-
-    def _alternating_uncached(self, words: tuple) -> Matrix:
-        mats = [self._word_matrix(w) for w in words]
-        return standard_identity(len(words), mats)
-
-    def polynomial(self, k: int) -> Polynomial:
-        member = self.members[k]
-        m0, rest = member.words[0], member.words[1:]
-        return trace_of_product(self._word_matrix(m0), self._alternating(rest))
-
-    def polynomials(self) -> Iterator[Polynomial]:
-        for k in range(len(self.members)):
-            yield self.polynomial(k)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def irreducibility_set(space: GenericMatrixSpace, max_len: int | None = None,
-                       limits=None) -> IrreducibilitySet:
-    """The certificate set for n >= 2: one member per distinct polynomial
-    (up to sign), zero expansions dropped.
-
-    Pruning: the M1..Mm slots are unordered without repeats (permutations
-    only flip the sign, repeats vanish), and M0 ranges over all words
-    including the empty one.  Words are not restricted to the power-free
-    ones of `certificate_words`, so this full enumeration serves as the
-    reference the pipeline's reduced set is checked against.
-    """
-    n, s = space.n, space.s
+    n = space.n
     if n < 2:
         raise ValueError("certificate sets need n >= 2")
-    if max_len is None:
-        max_len = length_bound(n)
     budget = Budget.of(limits)
     m = 2 * (n - 1)
-    words = _all_words(s, max_len)
-    members = []
-    seen: set = set()
-    candidates = 0
-    sset = IrreducibilitySet(space, max_len, (), 0)
+    word_matrix = {(): Matrix.identity(n, space.ring.one, space.ring.zero)}
+    for w in words:
+        if w:
+            product_matrix = word_matrix[w[:-1]] * space.matrices[w[-1]]
+            word_matrix[w] = product_matrix if reduce is None else product_matrix.map(reduce)
     for rest in combinations(words, m):
         budget.tick()
-        alt = sset._alternating(rest)
+        alt = standard_identity(m, [word_matrix[w] for w in rest], reduce)
         if alt.is_zero:
-            candidates += len(words)
             continue
         for m0 in words:
-            candidates += 1
-            poly = trace_of_product(sset._word_matrix(m0), alt)
-            if poly.is_zero:
-                continue
-            if poly in seen or -poly in seen:
-                continue
-            seen.add(poly)
-            members.append(CertificateMember((m0,) + rest, poly.total_degree()))
-    final = IrreducibilitySet(space, max_len, members, candidates)
-    return final
+            value = trace_of_product(word_matrix[m0], alt)
+            if reduce is not None:
+                value = reduce(value)
+            if not value.is_zero:
+                yield (m0,) + rest, value

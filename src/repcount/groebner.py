@@ -52,14 +52,13 @@ class ResourceLimits:
 class Budget:
     """Deadline-based view of ResourceLimits, shared across pipeline stages."""
 
-    __slots__ = ("deadline", "max_degree", "max_basis", "_counter")
+    __slots__ = ("deadline", "max_degree", "max_basis")
 
     def __init__(self, limits: ResourceLimits | None = None):
         limits = limits or ResourceLimits()
         self.deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
         self.max_degree = limits.max_degree
         self.max_basis = limits.max_basis
-        self._counter = 0
 
     @staticmethod
     def of(limits) -> "Budget":

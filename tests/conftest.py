@@ -15,7 +15,7 @@ def load(name):
 
 @pytest.fixture(scope="session")
 def pipelines():
-    """Session cache of pipeline runs keyed by (algebra, n, mode).
+    """Session cache of pipeline runs keyed by (algebra, n).
 
     Several suites look at the same handful of runs; computing each once
     keeps the whole test session fast.  Wall times of the fresh computation
@@ -24,11 +24,10 @@ def pipelines():
     cache = {}
     durations = {}
 
-    def run_for(name, n, mode="saturate", max_seconds=300.0):
-        key = (name, n, mode)
+    def run_for(name, n, max_seconds=300.0):
+        key = (name, n)
         if key not in cache:
             options = RunOptions(
-                quotient_mode=mode,
                 limits=ResourceLimits(max_seconds=max_seconds, max_degree=60, max_basis=20000))
             t0 = time.perf_counter()
             cache[key] = run_pipeline(DecisionInput(load(name), n, options))

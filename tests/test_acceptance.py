@@ -41,9 +41,8 @@ def report(label, ok=True):
     assert ok, label
 
 
-def fresh_run(name, n, mode="saturate"):
-    options = RunOptions(quotient_mode=mode,
-                         limits=ResourceLimits(max_seconds=300.0, max_degree=60,
+def fresh_run(name, n):
+    options = RunOptions(limits=ResourceLimits(max_seconds=300.0, max_degree=60,
                                                max_basis=20000))
     return run_pipeline(DecisionInput(load(name), n, options))
 
@@ -279,26 +278,3 @@ def test_criterion_7_s3_trace_point_is_conjugation_invariant():
     report("S3 2-dim representation: 15 trace values invariant under 5 random "
            "conjugations (%.2fs)" % took)
 
-
-def test_criterion_8_quotient_mode_harness():
-    # informational: reports whether the single colon step already matches
-    # the full saturation on the corpus; never fails
-    rows = []
-    for name, n in [("idempotent", 1), ("s3", 1), ("weyl", 2),
-                    ("commuting_plane", 2), ("s3", 2), ("qplane", 2)]:
-        results = {}
-        for mode in ("saturate", "single"):
-            run = fresh_run(name, n, mode)
-            verdict = run.verdict
-            if verdict.outcome is Outcome.FINITE:
-                results[mode] = ("finite", count_from_run(run).count)
-            elif verdict.outcome is Outcome.INFINITE:
-                results[mode] = ("infinite", verdict.witness.render())
-            else:
-                results[mode] = ("inconclusive", verdict.inconclusive_reason)
-        agree = "agree" if results["saturate"] == results["single"] else "DIFFER"
-        rows.append("%s n=%d: saturate=%r single=%r [%s]"
-                    % (name, n, results["saturate"], results["single"], agree))
-    for row in rows:
-        print("INFO quotient-mode " + row)
-    report("quotient mode comparison harness ran %d cases (informational)" % len(rows))

@@ -101,7 +101,7 @@ class TestErrors:
 
     def test_argparse_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["decide", alg("idempotent"), "-n", "1", "--quotient-mode", "weird"])
+            main(["decide", alg("idempotent"), "-n", "1", "--order", "deglex"])
         assert info.value.code == 2
         capsys.readouterr()
 
@@ -111,10 +111,11 @@ class TestJson:
         code, out, err = run_cli(capsys, "count", alg("idempotent"), "-n", "1", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert list(payload) == ["status", "verdict", "count", "witness",
+        assert list(payload) == ["status", "verdict", "certified", "count", "witness",
                                  "minimal_polynomials", "metrics", "timings_ms"]
         assert payload["status"] == "ok"
         assert payload["verdict"] == "finite"
+        assert payload["certified"] is True
         assert payload["count"] == 2
         assert payload["witness"] is None
         assert payload["minimal_polynomials"] == {"x1": 2}
@@ -142,6 +143,25 @@ class TestJson:
         for p in parsed:
             p.pop("timings_ms")
         assert parsed[0] == parsed[1]
+
+    @pytest.mark.parametrize("command", ["decide", "count"])
+    def test_override_below_the_bound_is_not_certified(self, capsys, command):
+        code, out, err = run_cli(capsys, command, alg("commuting_plane"), "-n", "2",
+                                 "--length-bound-override", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["certified"] is False
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: --length-bound-override 3 is below the proven "
+                            "bound 4; the result is not certified"]
+
+    @pytest.mark.parametrize("argv", [["-n", "2", "--length-bound-override", "4"],
+                                      ["-n", "2", "--length-bound-override", "5"],
+                                      ["-n", "1", "--length-bound-override", "0"]])
+    def test_override_at_or_above_the_bound_is_certified(self, capsys, argv):
+        code, out, err = run_cli(capsys, "decide", alg("commuting_plane"), *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["certified"] is True
+        assert "warning" not in err
 
     def test_inconclusive_json_status(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("s3"), "-n", "2",
@@ -245,11 +265,6 @@ class TestBudget:
 
 
 class TestParser:
-    def test_threads_flag_accepted(self, capsys):
-        code, out, err = run_cli(capsys, "decide", alg("idempotent"), "-n", "1",
-                                 "--threads", "4")
-        assert code == 0
-
     def test_disable_time_limit(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("idempotent"), "-n", "1",
                                  "--max-seconds", "0")

@@ -12,28 +12,26 @@ from repcount.decide import (
     _shrink_multipliers,
     collapsed_certificate_values,
     decide_finiteness,
-    irreducible_locus_ideal,
     is_algebraic,
     minimal_polynomial,
     run_pipeline,
+    saturated_locus,
 )
 from repcount.genmat import (
     _all_words,
     build_generic_space,
     certificate_words,
-    irreducibility_set,
+    certificates,
     length_bound,
     relations_ideal,
 )
 from repcount.groebner import (
     Budget,
-    GroebnerBasis,
     Ideal,
     ResourceLimits,
     buchberger,
     equal_ideals,
     saturate,
-    unit_ideal,
 )
 from repcount.poly import MonomialOrder, PolyRing, auxiliary
 from repcount.presentation import parse_presentation
@@ -111,42 +109,39 @@ class TestMinimalPolynomial:
 
 class TestLocusIdeal:
     def test_empty_certificates_means_unit(self):
-        locus = irreducible_locus_ideal(Ideal(R2, [U]), [])
+        locus, multipliers = saturated_locus(basis_of(U), [], GREVLEX)
         assert locus.is_unit
+        assert multipliers == []
 
     def test_certificates_inside_the_ideal_mean_unit(self):
-        locus = irreducible_locus_ideal(Ideal(R2, [U]), [U, U * V])
+        locus, multipliers = saturated_locus(basis_of(U), [U, U * V], GREVLEX)
         assert locus.is_unit
+        assert multipliers == []
 
     def test_unit_relations_stay_unit(self):
-        locus = irreducible_locus_ideal(unit_ideal(R2), [U])
+        locus, multipliers = saturated_locus(basis_of(R2.one), [U], GREVLEX)
         assert locus.is_unit
+        assert multipliers == []
 
     def test_nilpotents_are_cleared(self):
         # <u^2> saturated at u: u is nilpotent on the whole variety, so
         # certificates {u} wipe everything out
-        locus = irreducible_locus_ideal(Ideal(R2, [U * U]), [U])
+        locus, _ = saturated_locus(basis_of(U * U), [U], GREVLEX)
         assert locus.is_unit
 
     def test_component_selection(self):
         # <u^2 * (u - 1)>: saturating at u keeps only the u = 1 component
-        ideal = Ideal(R2, [U * U * (U - 1)])
-        locus = irreducible_locus_ideal(ideal, [U])
+        locus, multipliers = saturated_locus(basis_of(U * U * (U - 1)), [U], GREVLEX)
         assert equal_ideals(locus.as_ideal(), Ideal(R2, [U - 1]))
-
-    def test_single_mode_is_one_quotient_step(self):
-        # (u^3 : u) = u^2, while the full saturation reaches <1>... no:
-        # u is in the radical, so saturate gives <1>, single gives <u^2>
-        ideal = Ideal(R2, [U ** 3])
-        sat = irreducible_locus_ideal(ideal, [U], mode="saturate")
-        single = irreducible_locus_ideal(ideal, [U], mode="single")
-        assert sat.is_unit
-        assert equal_ideals(single.as_ideal(), Ideal(R2, [U * U]))
+        assert multipliers == [U]
 
     def test_constant_certificate_returns_the_ideal(self):
-        ideal = Ideal(R2, [U * V - 1])
-        locus = irreducible_locus_ideal(ideal, [R2.one])
-        assert equal_ideals(locus.as_ideal(), ideal)
+        # I : 1^infinity = I, the convention at n = 1; duplicates up to sign
+        # and values inside the ideal drop out first
+        relations = basis_of(U * V - 1)
+        locus, multipliers = saturated_locus(relations, [U * V - 1, R2.one, -R2.one], GREVLEX)
+        assert locus is relations
+        assert multipliers == [R2.one]
 
     def test_multipliers_are_the_smaller_set(self):
         # <u^2 - v, uv - 1> has the 3-element basis {u^2 - v, uv - 1, v^2 - u},
@@ -156,14 +151,6 @@ class TestLocusIdeal:
         assert _shrink_multipliers(empty, values, GREVLEX, Budget()) == values
         shrunk = _shrink_multipliers(empty, [U, U * V, U + U * V], GREVLEX, Budget())
         assert shrunk == [U]
-
-    def test_accepts_certificate_set_object(self):
-        space = build_generic_space(2, 2)
-        p = parse_presentation("generators: X, Y\nrelation: X*Y - Y*X\n")
-        relations = relations_ideal(p, space)
-        sset = irreducibility_set(space, max_len=2)
-        locus = irreducible_locus_ideal(relations, sset)
-        assert locus.is_unit  # commutative: every certificate is in the ideal
 
 
 D5 = """generators: a, b
@@ -198,7 +185,7 @@ class TestCollapsedValues:
         empty = buchberger([], GREVLEX, ring=space.ring)
         for max_len in (2, 3):
             values, candidates = collapsed_certificate_values(space, empty, max_len)
-            raw = list(irreducibility_set(space, max_len=max_len).polynomials())
+            raw = [value for _, value in certificates(space, _all_words(2, max_len))]
             words = len(certificate_words(2, max_len, 2))
             assert candidates == words * (words * (words - 1) // 2)
             assert 0 < len(values) < len(raw)
@@ -264,11 +251,7 @@ class TestPipeline:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            RunOptions(quotient_mode="both")
-        with pytest.raises(ValueError):
             RunOptions(order="deglex")
-        with pytest.raises(ValueError):
-            RunOptions(threads=0)
         with pytest.raises(ValueError):
             DecisionInput(parse_presentation("generators:\n"), 0)
 

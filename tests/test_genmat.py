@@ -19,13 +19,15 @@ from repcount.genmat import (
     _necklaces,
     build_generic_space,
     certificate_words,
-    irreducibility_set,
+    certificates,
     length_bound,
     relations_ideal,
     standard_identity,
     trace_generators,
 )
+from repcount.groebner import buchberger
 from repcount.matrices import Matrix, trace_of_product
+from repcount.poly import MonomialOrder
 from repcount.presentation import parse_presentation
 
 
@@ -210,14 +212,13 @@ class TestCertificates:
     def test_single_generator_yields_nothing(self):
         # powers of one matrix commute, so every alternating product dies
         space = build_generic_space(2, 1)
-        sset = irreducibility_set(space, max_len=3)
-        assert len(sset) == 0
+        assert list(certificates(space, _all_words(1, 3))) == []
 
     def test_short_words_all_die_by_cyclicity(self):
         # tr(M0 * [x1, x2]) = 0 whenever M0 is 1, x1 or x2: the two products
         # are cyclic rotations of each other.  So max_len = 1 gives nothing.
         space = build_generic_space(2, 2)
-        assert len(irreducibility_set(space, max_len=1)) == 0
+        assert list(certificates(space, _all_words(2, 1))) == []
         a, b = space.matrices
         comm = a * b - b * a
         for m0 in (Matrix.identity(2, space.ring.one, space.ring.zero), a, b):
@@ -227,40 +228,42 @@ class TestCertificates:
         from itertools import combinations
 
         space = build_generic_space(2, 2)
-        sset = irreducibility_set(space, max_len=2)
         raw = []
-        seen = set()
         for rest in combinations(_all_words(2, 2), 2):
             alt = standard_identity(2, [space.word_matrix(w) for w in rest])
             if alt.is_zero:
                 continue
             for m0 in _all_words(2, 2):
                 poly = trace_of_product(space.word_matrix(m0), alt)
-                if poly.is_zero or poly in seen or -poly in seen:
-                    continue
-                seen.add(poly)
-                raw.append(poly)
-        assert len(sset) == len(raw) > 0
-        assert set(sset.polynomials()) == set(raw)
+                if not poly.is_zero:
+                    raw.append(((m0,) + rest, poly))
+        assert len(raw) > 0
+        assert list(certificates(space, _all_words(2, 2))) == raw
 
     def test_members_record_provenance(self):
         space = build_generic_space(2, 2)
-        sset = irreducibility_set(space, max_len=1)
-        for member, poly in zip(sset.members, sset.polynomials()):
-            m0, rest = member.words[0], member.words[1:]
+        for words, poly in certificates(space, _all_words(2, 2)):
+            m0, rest = words[0], words[1:]
             direct = trace_of_product(space.word_matrix(m0),
                                       standard_identity(len(rest),
                                                         [space.word_matrix(w) for w in rest]))
             assert poly == direct
 
+    def test_reduce_gives_normal_forms(self):
+        # reducing every partial product gives the normal forms of the
+        # unreduced certificates, minus those that reduce to zero
+        space = build_generic_space(2, 2)
+        p = parse_presentation("generators: X, Y\nrelation: X*Y + Y*X\n")
+        basis = buchberger(relations_ideal(p, space), MonomialOrder.grevlex())
+        words = certificate_words(2, 4, 2)
+        expected = [(w, basis.normal_form(v)) for w, v in certificates(space, words)]
+        got = list(certificates(space, words, basis.normal_form))
+        assert got == [(w, v) for w, v in expected if not v.is_zero]
+        assert 0 < len(got) < len(expected)
+
     def test_needs_dimension_two(self):
         with pytest.raises(ValueError):
-            irreducibility_set(build_generic_space(1, 1))
-
-    def test_default_length_is_the_bound(self):
-        space = build_generic_space(2, 1)
-        sset = irreducibility_set(space)
-        assert sset.max_len == length_bound(2)
+            next(certificates(build_generic_space(1, 1), _all_words(1, 2)))
 
 
 def has_power_factor(word, n):
