@@ -58,7 +58,6 @@ from .groebner import (
     ideal_quotient,
     intersect,
     s_polynomial,
-    saturate,
     saturate_principal,
 )
 from .matrices import Matrix, trace_of_product

@@ -201,6 +201,11 @@ def _verbose_decide(run: PipelineRun) -> None:
     if m.locus_gb_size is not None:
         print("locus basis: %d elements (max degree %s)"
               % (m.locus_gb_size, m.locus_gb_max_degree))
+    e = m.engine
+    print("engine: %d S-pairs reduced (%d to zero), pairs dropped: %d coprime, %d M/F, "
+          "%d B; %d normal-form steps"
+          % (e.s_pairs, e.zero_reductions, e.dropped_coprime, e.dropped_mf, e.dropped_b,
+             e.normal_form_steps))
     for word, mp in verdict.minimal_polynomials.items():
         print("tr(%s): %s" % (word, mp.render()))
     for stage, seconds in sorted(m.timings.items()):

@@ -19,7 +19,7 @@ whichever set is smaller.  None of this changes the saturated ideal.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb
@@ -37,6 +37,7 @@ from .genmat import (
 )
 from .groebner import (
     Budget,
+    EngineCounters,
     GroebnerBasis,
     Ideal,
     ResourceLimitExceeded,
@@ -155,10 +156,13 @@ class PipelineMetrics:
     trace_generator_count: int = 0
     algebra_dimension: int | None = None
     gram_rank: int | None = None
+    engine: EngineCounters = field(default_factory=EngineCounters)  # the run budget's
     timings: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings"}
+        out = asdict(self)
+        del out["timings"]
+        return out
 
 
 @dataclass
@@ -375,7 +379,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
     budget = Budget(opts.limits)
     order = base_order(opts.order)
     clock = _Stopwatch()
-    metrics = PipelineMetrics(n=n, s=p.num_generators)
+    metrics = PipelineMetrics(n=n, s=p.num_generators, engine=budget.counters)
 
     space = build_generic_space(n, p.num_generators)
     metrics.variables = space.ring.nvars()

@@ -18,6 +18,7 @@ generic matrix (x[i,j,l]).  This module builds:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -209,13 +210,42 @@ def _necklaces(s: int, max_len: int) -> list:
     return out
 
 
+def _word_matrices(space: GenericMatrixSpace, words: Sequence[tuple],
+                   reduce: Callable | None = None) -> Iterator[tuple]:
+    """Yield (word, matrix) for each distinct word, in lexicographic order.
+
+    Every prefix of a word gets its matrix once, as its parent prefix's
+    matrix times one generic matrix, and a matrix is dropped once all its
+    one-letter extensions are built: x, x^2, .., x^9 never holds more than
+    two.  `reduce`, if given, maps every entry of every product.
+    """
+    words = sorted(set(words))
+    children = Counter(p[:-1] for p in {w[:k] for w in words for k in range(1, len(w) + 1)})
+    matrices = {(): Matrix.identity(space.n, space.ring.one, space.ring.zero)}
+    for w in words:
+        built = len(w)
+        while w[:built] not in matrices:  # the longest prefix built so far
+            built -= 1
+        for k in range(built + 1, len(w) + 1):
+            parent = w[:k - 1]
+            extended = matrices[parent] * space.matrices[w[k - 1]]
+            matrices[w[:k]] = extended if reduce is None else extended.map(reduce)
+            children[parent] -= 1
+            if not children[parent]:
+                del matrices[parent]
+        yield w, matrices[w]
+        if not children[w]:
+            del matrices[w]
+
+
 def trace_generators(space: GenericMatrixSpace) -> tuple:
     """Trace ring generators: tr(w) over cyclic words of length <= n^2,
-    sorted by length then lexicographically."""
-    gens = []
-    for cw in _necklaces(space.s, space.n * space.n):
-        gens.append(TraceGenerator(cw, space.word_matrix(cw.letters).trace()))
-    return tuple(gens)
+    sorted by length then lexicographically.  The word matrices come from
+    `_word_matrices`, one product per distinct prefix."""
+    necklaces = _necklaces(space.s, space.n * space.n)
+    words = [cw.letters for cw in necklaces]
+    traces = {w: m.trace() for w, m in _word_matrices(space, words)}
+    return tuple(TraceGenerator(cw, traces[cw.letters]) for cw in necklaces)
 
 
 def _all_words(s: int, max_len: int) -> list:
@@ -272,22 +302,17 @@ def certificates(space: GenericMatrixSpace, words: Sequence[tuple],
 
     The M1..Mm slots are unordered without repeats (permutations only flip
     the sign, repeats vanish) and M0 ranges over all of `words`; the order is
-    `for rest in combinations(words, m): for m0 in words`.  `words` must be
-    prefix-closed, as `certificate_words` and `_all_words` are: word matrices
-    are built by extending the prefix's matrix one letter.  `reduce`, if
-    given, maps every entry of every product, and the value, to its normal
-    form.  The budget ticks once per (M1..Mm) tuple.
+    `for rest in combinations(words, m): for m0 in words`.  Word matrices
+    come from `_word_matrices`, one product per distinct prefix.  `reduce`,
+    if given, maps every entry of every product, and the value, to its
+    normal form.  The budget ticks once per (M1..Mm) tuple.
     """
     n = space.n
     if n < 2:
         raise ValueError("certificate sets need n >= 2")
     budget = Budget.of(limits)
     m = 2 * (n - 1)
-    word_matrix = {(): Matrix.identity(n, space.ring.one, space.ring.zero)}
-    for w in words:
-        if w:
-            product_matrix = word_matrix[w[:-1]] * space.matrices[w[-1]]
-            word_matrix[w] = product_matrix if reduce is None else product_matrix.map(reduce)
+    word_matrix = dict(_word_matrices(space, words, reduce))
     for rest in combinations(words, m):
         budget.tick()
         alt = standard_identity(m, [word_matrix[w] for w in rest], reduce)

@@ -6,6 +6,12 @@ generator order, and elimination / intersection / quotient / saturation are
 all phrased in terms of it.  Resource limits (wall clock, degree cap, basis
 size cap) raise `ResourceLimitExceeded`, a distinct failure mode meaning
 "ran out of budget", never "wrong answer".
+
+`buchberger` keeps one divisor table for the whole run, prunes pairs with
+the Gebauer-Moeller update (Gebauer and Moeller, J. Symbolic Comput. 6
+(1988); the UPDATE procedure of Becker and Weispfenning, "Groebner Bases",
+1993) and tail-reduces the final basis in one pass.  Each `Budget` counts
+the work it has paid for in `EngineCounters`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -25,10 +32,13 @@ from .poly import (
     leading_term,
     make_monic,
     monomial_div,
+    monomial_divides,
     monomial_lcm,
     primitive_part,
-    reduce as poly_reduce,
 )
+# unused here, but bench/tracing.py wraps `poly.reduce` in every module that
+# binds it, and its self-test checks this binding
+from .poly import reduce as poly_reduce  # noqa: F401
 
 
 class ResourceLimitExceeded(Exception):
@@ -49,16 +59,36 @@ class ResourceLimits:
     max_basis: int | None = None
 
 
-class Budget:
-    """Deadline-based view of ResourceLimits, shared across pipeline stages."""
+@dataclass
+class EngineCounters:
+    """Work done under one budget by `buchberger` and `DivisorTable.normal_form`.
 
-    __slots__ = ("deadline", "max_degree", "max_basis")
+    A pair is dropped unreduced by one of the Gebauer-Moeller criteria:
+    coprime leading monomials (Buchberger's product criterion), a new pair
+    whose lcm is a multiple of another new pair's (criteria M and F), or an
+    old pair whose lcm the new leading monomial divides strictly (criterion B).
+    """
+
+    s_pairs: int = 0  # S-polynomials reduced
+    zero_reductions: int = 0  # of those, reduced to zero
+    dropped_coprime: int = 0
+    dropped_mf: int = 0
+    dropped_b: int = 0
+    normal_form_steps: int = 0  # terms taken off the heap in normal_form
+
+
+class Budget:
+    """Deadline-based view of ResourceLimits, shared across pipeline stages,
+    and the engine counters of the work done under it."""
+
+    __slots__ = ("deadline", "max_degree", "max_basis", "counters")
 
     def __init__(self, limits: ResourceLimits | None = None):
         limits = limits or ResourceLimits()
         self.deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
         self.max_degree = limits.max_degree
         self.max_basis = limits.max_basis
+        self.counters = EngineCounters()
 
     @staticmethod
     def of(limits) -> "Budget":
@@ -173,39 +203,22 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 
 def _interreduce(elements: list, order: MonomialOrder, budget: Budget) -> list:
-    """Minimize then tail-reduce; returns the unique reduced basis, sorted."""
-    # minimize: drop any element whose leading monomial another one divides
-    lms = [leading_term(g, order)[0] for g in elements]
-    keep = []
-    for i, g in enumerate(elements):
-        mi = lms[i]
-        redundant = False
-        for j, mj in enumerate(lms):
-            if i == j:
-                continue
-            if all(a <= b for a, b in zip(mj, mi)) and (mi != mj or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-    # tail-reduce until stable
-    changed = True
-    passes = 0
-    while changed:
-        passes += 1
-        if passes > 200:
-            raise RuntimeError("interreduction failed to stabilize")
+    """The reduced basis, sorted, from a minimal one (no leading monomial
+    divides another).
+
+    One pass in ascending order of leading monomials: each element is
+    reduced against the smaller ones, already reduced.  That is enough, since
+    every tail term lies below its own leading monomial, so no larger
+    leading monomial divides it.
+    """
+    table = DivisorTable((), order)
+    reduced = []
+    for g in sorted(elements, key=lambda g: order.key(leading_term(g, order)[0])):
         budget.tick()
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
-            r = poly_reduce(keep[i], others, order, budget)
-            if r != keep[i]:
-                keep[i] = r
-                changed = True
-    keep = [make_monic(g, order) for g in keep if not g.is_zero]
-    keep.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return keep
+        r = make_monic(table.normal_form(g, budget), order)
+        table.add(r)
+        reduced.append(r)
+    return reduced
 
 
 def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -213,11 +226,17 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
                ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, unique for the given order.
 
-    Pair selection follows the normal strategy (smallest lcm degree first);
-    pairs with coprime leading monomials are skipped, and the chain criterion
-    prunes pairs covered by an already-processed third element.
+    Pair selection follows the normal strategy (smallest lcm degree first).
+    Every new element is reduced against one divisor table holding all
+    earlier ones and updates the pair set by Gebauer-Moeller: pairs are
+    formed only with the elements no later leading monomial divides, new
+    pairs with coprime leading monomials or with an lcm that is a multiple
+    of another new pair's are dropped, and so are the old pairs whose lcm
+    the new leading monomial divides strictly (the counts are kept in
+    `budget.counters`).  A constant element ends the run with the unit ideal.
     """
     budget = Budget.of(limits)
+    counters = budget.counters
     if isinstance(ideal, Ideal):
         gens = list(ideal.generators)
         ring = ideal.ring
@@ -232,65 +251,65 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
 
     basis: list[Polynomial] = []
     lm: list = []
-    lc: list = []
-    pair_heap: list = []
-    pending: set = set()
+    table = DivisorTable((), order)
+    active: list = []  # indices of elements no later leading monomial divides
+    pairs: list = []  # heap of (lcm degree, lcm key, i, j, lcm)
 
-    def push_pairs(j: int) -> None:
-        mj = lm[j]
-        for i in range(j):
-            lcm = monomial_lcm(lm[i], mj)
-            pending.add((i, j))
-            heapq.heappush(pair_heap, (sum(lcm), order.key(lcm), i, j))
+    def update(k: int) -> None:
+        mk = lm[k]
+        # (i, lcm, coprime): min is positive where both monomials have the variable
+        new = [(i, monomial_lcm(lm[i], mk), not any(map(min, lm[i], mk))) for i in active]
+        kept = []  # Becker-Weispfenning's D
+        for index, (i, lcm, coprime) in enumerate(new):
+            if coprime or not any(monomial_divides(other[1], lcm)
+                                  for other in chain(new[index + 1:], kept)):
+                kept.append((i, lcm, coprime))
+            else:
+                counters.dropped_mf += 1
+        old = []
+        for pair in pairs:
+            _, _, i, j, lcm = pair
+            if (monomial_divides(mk, lcm) and monomial_lcm(lm[i], mk) != lcm
+                    and monomial_lcm(lm[j], mk) != lcm):
+                counters.dropped_b += 1
+            else:
+                old.append(pair)
+        for i, lcm, coprime in kept:
+            if coprime:
+                counters.dropped_coprime += 1
+            else:
+                old.append((sum(lcm), order.key(lcm), i, k, lcm))
+        heapq.heapify(old)
+        pairs[:] = old
+        active[:] = [i for i in active if not monomial_divides(mk, lm[i])] + [k]
 
-    def insert(p: Polynomial) -> None:
+    def insert(p: Polynomial) -> bool:
+        """Add p; True when it is a constant, so the ideal is the unit ideal."""
         p = primitive_part(p, order)
         budget.check_degree(p.total_degree())
         basis.append(p)
-        m, c = leading_term(p, order)
-        lm.append(m)
-        lc.append(c)
+        lm.append(leading_term(p, order)[0])
         budget.check_basis(len(basis))
-        push_pairs(len(basis) - 1)
+        table.add(p)
+        update(len(basis) - 1)
+        return p.is_constant
 
     for g in sorted(gens, key=lambda g: (g.total_degree(), len(g.terms))):
-        r = poly_reduce(g, basis, order, budget)
-        if not r.is_zero:
-            insert(r)
+        r = table.normal_form(g, budget)
+        if not r.is_zero and insert(r):
+            return GroebnerBasis(ring, order, (ring.one,))
 
-    while pair_heap:
+    while pairs:
         budget.tick()
-        _, _, i, j = heapq.heappop(pair_heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = monomial_lcm(lm[i], lm[j])
-        # coprime leading monomials: the S-polynomial reduces to zero
-        if all(a + b == c for a, b, c in zip(lm[i], lm[j], lcm)):
-            continue
-        # chain criterion: a third element divides the lcm and both of its
-        # pairs with i and j were already handled
-        skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if all(a <= b for a, b in zip(lm[k], lcm)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = poly_reduce(s, basis, order, budget)
-        if not r.is_zero:
-            insert(r)
+        _, _, i, j, _ = heapq.heappop(pairs)
+        counters.s_pairs += 1
+        r = table.normal_form(s_polynomial(basis[i], basis[j], order), budget)
+        if r.is_zero:
+            counters.zero_reductions += 1
+        elif insert(r):
+            return GroebnerBasis(ring, order, (ring.one,))
 
-    reduced = _interreduce(basis, order, budget)
-    if any(g.is_constant for g in reduced):
-        reduced = [ring.one]
-    return GroebnerBasis(ring, order, reduced)
+    return GroebnerBasis(ring, order, _interreduce([basis[i] for i in active], order, budget))
 
 
 def contains(basis: GroebnerBasis, f: Polynomial, limits=None) -> bool:
@@ -356,51 +375,11 @@ def ideal_quotient(ideal: Ideal, f: Polynomial, limits=None) -> Ideal:
     return Ideal(ideal.ring, [exact_divide(g, f) for g in meet.generators])
 
 
-def saturate(ideal: Ideal, multipliers: Sequence[Polynomial], limits=None) -> Ideal:
-    """(ideal : <multipliers>^infinity).
-
-    Iterates K <- intersection over g of (K : g) until the reduced basis
-    stabilizes; each round multipliers are first reduced modulo K, and ones
-    reducing to zero drop out (if all do, the saturation is the unit ideal).
-    """
-    budget = Budget.of(limits)
-    if not multipliers:
-        raise ValueError("empty multiplier set")
-    ring = ideal.ring
-    current = _canonical(ideal, budget)
-    current_gb = buchberger(current, GREVLEX, budget)
-    while True:
-        budget.tick()
-        if current_gb.is_unit:
-            return unit_ideal(ring)
-        active = []
-        seen = set()
-        for g in multipliers:
-            nf = current_gb.normal_form(g, budget)
-            if nf.is_zero:
-                continue
-            if nf in seen or -nf in seen:
-                continue
-            seen.add(nf)
-            active.append(nf)
-        if not active:
-            # every multiplier lies in the current ideal
-            return unit_ideal(ring)
-        step = None
-        for g in active:
-            q = ideal_quotient(current, g, budget)
-            step = q if step is None else intersect(step, q, budget)
-        step_gb = buchberger(step, GREVLEX, budget)
-        if step_gb == current_gb:
-            return Ideal(ring, current_gb.elements)
-        current, current_gb = Ideal(ring, step_gb.elements), step_gb
-
-
 def saturate_principal(ideal: Ideal, g: Polynomial, limits=None) -> Ideal:
     """(ideal : g^infinity) in a single elimination: adjoin 1 - w*g, drop w.
 
-    Agrees with `saturate(ideal, [g])`; used where many saturations are
-    needed because it costs one Groebner basis instead of a fixpoint loop.
+    One Groebner basis, where iterating colon ideals to a fixpoint would
+    take many.
     """
     budget = Budget.of(limits)
     ring = ideal.ring

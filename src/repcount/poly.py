@@ -14,6 +14,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple  # one exponent per ring variable, position 0 = highest ranked
@@ -287,7 +288,7 @@ class Polynomial:
         out: dict = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
+                mono = tuple(map(add, ma, mb))
                 acc = out.get(mono)
                 if acc is None:
                     out[mono] = ca * cb
@@ -317,10 +318,11 @@ class Polynomial:
 
     def scale_shift(self, coeff: Fraction, shift: Exponents) -> "Polynomial":
         """coeff * monomial(shift) * self, the workhorse of reduction."""
-        return Polynomial._raw(
-            self.ring,
-            {tuple(x + y for x, y in zip(m, shift)): c * coeff for m, c in self.terms.items()},
-        )
+        if coeff == 1:
+            terms = {tuple(map(add, m, shift)): c for m, c in self.terms.items()}
+        else:
+            terms = {tuple(map(add, m, shift)): c * coeff for m, c in self.terms.items()}
+        return Polynomial._raw(self.ring, terms)
 
     # -- equality / rendering ----------------------------------------------
 
@@ -467,19 +469,22 @@ def leading_term(f: Polynomial, order: MonomialOrder) -> tuple:
     return best, f.terms[best]
 
 
-def _divides(a: Exponents, b: Exponents) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+def monomial_divides(a: Exponents, b: Exponents) -> bool:
+    """Whether the monomial a divides b."""
+    return all(map(le, a, b))
 
 
 def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
+
+
+def _int_if_integral(c: Fraction):
+    """c as an int when it is integral, else c itself."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class DivisorTable:
@@ -487,28 +492,45 @@ class DivisorTable:
 
     Divisors keep their given order; reduction always rewrites the largest
     pending term against the first divisor whose leading monomial divides it,
-    which makes the result deterministic for a fixed divisor sequence.
+    which makes the result deterministic for a fixed divisor sequence.  The
+    table grows with `add`, so one table can follow a basis as it is built.
+
+    Integral coefficients are stored as ints, and `normal_form` works on
+    ints wherever the leading coefficient divides the term it cancels;
+    Fractions appear only where a division is inexact.  The result is
+    exactly the Fraction computation's, converted back to Fractions.
+
+    Given a budget, `normal_form` ticks it once per reduction step, and once
+    per term on a step with a Fraction multiplier, since Fraction arithmetic
+    on large coefficients can make one step take seconds; the steps are
+    added to `budget.counters`.
     """
 
     __slots__ = ("order", "entries", "min_degree")
 
     def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder):
         self.order = order
-        entries = []
+        self.entries: list = []
+        self.min_degree = 0
         for g in divisors:
-            if g.is_zero:
-                continue
-            lm, lc = leading_term(g, order)
-            tail = [(m, c) for m, c in g.terms.items() if m != lm]
-            entries.append((lm, lc, tail, sum(lm)))
-        self.entries = entries
-        self.min_degree = min((e[3] for e in entries), default=0)
+            self.add(g)
+
+    def add(self, g: Polynomial) -> None:
+        """Append g (ignored when zero) as the last divisor."""
+        if g.is_zero:
+            return
+        lm, lc = leading_term(g, self.order)
+        tail = [(m, _int_if_integral(c)) for m, c in g.terms.items() if m != lm]
+        deg = sum(lm)
+        if not self.entries or deg < self.min_degree:
+            self.min_degree = deg
+        self.entries.append((lm, _int_if_integral(lc), tail, deg))
 
     def normal_form(self, f: Polynomial, budget=None) -> Polynomial:
         if f.is_zero or not self.entries:
             return f
         key = self.order.key
-        coeff = dict(f.terms)
+        coeff = {m: _int_if_integral(c) for m, c in f.terms.items()}
         heap = [_NegKey(key(m), m) for m in coeff]
         heapq.heapify(heap)
         out: dict = {}
@@ -521,23 +543,31 @@ class DivisorTable:
             if c is None:
                 continue  # stale heap entry
             steps += 1
-            if budget is not None and not steps % 512:
+            if budget is not None:
                 budget.tick()
             mdeg = sum(m)
             hit = None
             if mdeg >= min_deg:
                 for lm, lc, tail, deg in entries:
-                    if deg <= mdeg and _divides(lm, m):
+                    if deg <= mdeg and all(map(le, lm, m)):  # lm divides m
                         hit = (lm, lc, tail)
                         break
             if hit is None:
-                out[m] = c
+                out[m] = Fraction(c) if type(c) is int else c
                 continue
             lm, lc, tail = hit
-            scale = c / lc
+            if lc == 1:
+                scale = c
+            elif type(c) is int and type(lc) is int and not c % lc:
+                scale = c // lc
+            else:
+                scale = Fraction(c) / lc
             shift = monomial_div(m, lm)
+            fraction_step = budget is not None and type(scale) is not int
             for tm, tc in tail:
-                m2 = tuple(x + y for x, y in zip(tm, shift))
+                if fraction_step:
+                    budget.tick()
+                m2 = tuple(map(add, tm, shift))
                 acc = coeff.get(m2)
                 if acc is None:
                     coeff[m2] = -scale * tc
@@ -548,6 +578,8 @@ class DivisorTable:
                         coeff[m2] = acc
                     else:
                         del coeff[m2]
+        if budget is not None:
+            budget.counters.normal_form_steps += steps
         return Polynomial._raw(f.ring, out)
 
 
@@ -586,7 +618,7 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     rest = f
     while not rest.is_zero:
         m, c = leading_term(rest, order)
-        if not _divides(lm, m):
+        if not monomial_divides(lm, m):
             raise ValueError("inexact polynomial division")
         shift = monomial_div(m, lm)
         scale = c / lc

@@ -23,7 +23,6 @@ from repcount.groebner import (
     ideal_quotient,
     intersect,
     s_polynomial,
-    saturate,
     saturate_principal,
 )
 from repcount.matrices import Matrix
@@ -31,6 +30,7 @@ from repcount.poly import MonomialOrder, PolyRing, auxiliary
 from repcount.presentation import parse_presentation
 
 from conftest import load
+from oracles import saturate
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()

@@ -37,6 +37,17 @@ class TestDecide:
         assert "tr(x1): y^2 - y" in out
         assert "stage" in out
 
+    def test_verbose_reports_engine_counters(self, capsys):
+        code, out, err = run_cli(capsys, "decide", alg("s3"), "-n", "2", "--json")
+        engine = json.loads(out)["metrics"]["engine"]
+        code, out, err = run_cli(capsys, "decide", alg("s3"), "-n", "2", "-v")
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("engine: ")]
+        assert lines == [
+            "engine: %(s_pairs)d S-pairs reduced (%(zero_reductions)d to zero), pairs "
+            "dropped: %(dropped_coprime)d coprime, %(dropped_mf)d M/F, %(dropped_b)d B; "
+            "%(normal_form_steps)d normal-form steps" % engine]
+
     def test_verbose_reports_power_free_words(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("qplane"), "-n", "2", "-v")
         assert code == 0
@@ -121,6 +132,20 @@ class TestJson:
         assert payload["minimal_polynomials"] == {"x1": 2}
         assert payload["metrics"]["n"] == 1
         assert payload["metrics"]["gram_rank"] == 2
+        assert list(payload["metrics"]["engine"]) == [
+            "s_pairs", "zero_reductions", "dropped_coprime", "dropped_mf", "dropped_b",
+            "normal_form_steps"]
+
+    def test_engine_counters_cover_the_count_stage(self, capsys):
+        # the counters live on the run's budget: the count's normal forms
+        # come on top of the decision's
+        decided = json.loads(run_cli(capsys, "decide", alg("s3"), "-n", "2", "--json")[1])
+        counted = json.loads(run_cli(capsys, "count", alg("s3"), "-n", "2", "--json")[1])
+        before, after = decided["metrics"]["engine"], counted["metrics"]["engine"]
+        assert before["s_pairs"] > before["zero_reductions"] > 0
+        assert after["normal_form_steps"] > before["normal_form_steps"]
+        assert {k: v for k, v in after.items() if k != "normal_form_steps"} == \
+            {k: v for k, v in before.items() if k != "normal_form_steps"}
 
     def test_infinite_payload(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("qplane"), "-n", "2", "--json")
@@ -261,6 +286,58 @@ class TestBudget:
         assert code == 3
         assert "time limit exceeded" in err
         assert "INCONCLUSIVE" not in err  # the decision finished; the count overran
+        assert elapsed < budget + 0.3
+
+
+A4 = """generators: a, b
+relation: a^2 - 1
+relation: b^3 - 1
+relation: a*b*a*b*a*b - 1
+"""
+
+# four commuting generators; at n = 1 the relations basis is quick, then the
+# first trace generator needs the elimination fallback of minimal_polynomial,
+# whose coefficients grow until single reduction steps take seconds
+SLOW_ELIMINATION = """generators: x, y, z, w
+relation: x*y - y*x
+relation: x*z - z*x
+relation: x*w - w*x
+relation: y*z - z*y
+relation: y*w - w*y
+relation: z*w - w*z
+relation: x^3 - y*z - 1
+relation: y^3 - z*w - 1
+relation: z^3 - w*x - 1
+relation: w^3 - x*y - 1
+"""
+
+
+class TestDecideBudget:
+    def test_relations_basis_overrun(self, capsys, tmp_path):
+        # A4 at n = 3: the relations basis in 18 variables does not finish
+        path = tmp_path / "a4.alg"
+        path.write_text(A4)
+        budget = 2.0
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "count", str(path), "-n", "3",
+                                 "--max-seconds", str(budget))
+        elapsed = time.monotonic() - t0
+        assert code == 3
+        assert "INCONCLUSIVE (time limit exceeded)" in err
+        assert elapsed < budget + 0.3
+
+    def test_elimination_fallback_overrun(self, capsys, tmp_path):
+        path = tmp_path / "slow_elimination.alg"
+        path.write_text(SLOW_ELIMINATION)
+        budget = 2.0
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "decide", str(path), "-n", "1", "--json",
+                                 "--max-seconds", str(budget), "--max-degree", "100000")
+        elapsed = time.monotonic() - t0
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["status"] == "resource-limit"
+        assert "algebraic" in payload["timings_ms"]  # the overrun is past the locus stage
         assert elapsed < budget + 0.3
 
 

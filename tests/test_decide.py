@@ -31,12 +31,12 @@ from repcount.groebner import (
     ResourceLimits,
     buchberger,
     equal_ideals,
-    saturate,
 )
 from repcount.poly import MonomialOrder, PolyRing, auxiliary
 from repcount.presentation import parse_presentation
 
 from conftest import load
+from oracles import saturate
 
 GREVLEX = MonomialOrder.grevlex()
 R2 = PolyRing.ranked([auxiliary("t", i) for i in range(2)])
@@ -167,7 +167,7 @@ class TestLocusOracle:
     ])
     def test_locus_equals_fixpoint_saturation(self, presentation):
         # the pipeline saturates the relations basis one multiplier at a
-        # time; groebner.saturate iterates colon ideals of the raw relations
+        # time; the oracle saturate iterates colon ideals of the raw relations
         # at all certificate values together until they stabilize
         run = run_pipeline(DecisionInput(presentation, 2))
         assert run.verdict.outcome is Outcome.FINITE

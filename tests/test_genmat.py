@@ -204,6 +204,30 @@ class TestTraceGenerators:
     def test_no_generators_no_traces(self):
         assert trace_generators(build_generic_space(2, 0)) == ()
 
+    @pytest.mark.parametrize("n, s", [(3, 1), (2, 2), (2, 3)])
+    def test_prefix_products_match_word_matrices(self, n, s, monkeypatch):
+        # each necklace's matrix extends a shared prefix's: one product per
+        # distinct nonempty prefix (9 for x..x^9 at n = 3, not 45), and the
+        # traces equal those of matrices built from the identity
+        space = build_generic_space(n, s)
+        calls = []
+        original = Matrix.__mul__
+
+        def counting_mul(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+        gens = trace_generators(space)
+        monkeypatch.setattr(Matrix, "__mul__", original)
+        words = [tg.word.letters for tg in gens]
+        assert words == [cw.letters for cw in _necklaces(s, n * n)]
+        assert len(calls) == len({w[:k] for w in words for k in range(1, len(w) + 1)})
+        if s == 1:
+            assert len(calls) == n * n
+        for tg in gens:
+            assert tg.value == space.word_matrix(tg.word.letters).trace()
+
 
 class TestCertificates:
     def test_all_words(self):

@@ -4,11 +4,13 @@ The random-ideal comparisons against sympy's groebner are the main safety
 net here: two unrelated implementations agreeing on reduced bases over QQ.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.orderings import ProductOrder, grevlex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,6 @@ from repcount.groebner import (
     ideal_quotient,
     intersect,
     s_polynomial,
-    saturate,
     saturate_principal,
     unit_ideal,
 )
@@ -36,6 +37,8 @@ from repcount.poly import (
     leading_term,
     make_monic,
 )
+
+from oracles import saturate
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -181,13 +184,24 @@ def _from_sympy(expr, ring, syms):
     return out
 
 
-def _random_poly(ring, rng, max_terms=3, max_exp=2):
+def _random_poly(ring, rng, max_terms=3, max_exp=2, coeffs=(-3, -2, -1, 1, 2, 3)):
     out = ring.zero
     for _ in range(rng.randrange(1, max_terms + 1)):
         mono = tuple(rng.randrange(0, max_exp + 1) for _ in range(ring.nvars()))
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+        coeff = rng.choice(coeffs)
         out = out + Polynomial._raw(ring, {mono: Fraction(1)}) * coeff
     return out
+
+
+# non-monic and non-integral: leading coefficients that do not divide the
+# coefficients they cancel, so normal forms leave the int path
+RATIONAL_COEFFS = (Fraction(-7, 3), Fraction(-3, 2), -2, Fraction(2, 5), 3, Fraction(5, 4), 6)
+
+
+def _sympy_block_order(dropped, nvars):
+    retained = [p for p in range(nvars) if p not in dropped]
+    return ProductOrder((grevlex, lambda m: tuple(m[p] for p in dropped)),
+                        (grevlex, lambda m: tuple(m[p] for p in retained)))
 
 
 class TestAgainstSympy:
@@ -221,6 +235,67 @@ class TestAgainstSympy:
         theirs_elements = {make_monic(_from_sympy(p, ring, syms), LEX)
                            for p in theirs.exprs}
         assert set(mine.elements) == theirs_elements
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_block_orders_with_rational_coefficients_match_sympy(self, seed):
+        rng = random.Random(9100 + seed)
+        ring = ring_xyz(3)
+        syms = sympy.symbols("t0 t1 t2")
+        dropped = [(0,), (1,), (2,), (0, 1), (1, 2)][seed % 5]
+        order = MonomialOrder.elimination(dropped, 3)
+        gens = [_random_poly(ring, rng, coeffs=RATIONAL_COEFFS)
+                for _ in range(rng.randrange(2, 4))]
+        gens = [g for g in gens if not g.is_zero]
+        mine = buchberger(gens, order, ring=ring)
+        theirs = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
+                                order=_sympy_block_order(dropped, 3))
+        theirs_elements = {make_monic(_from_sympy(p, ring, syms), order)
+                           for p in theirs.exprs}
+        assert set(mine.elements) == theirs_elements
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rational_grevlex_ideals_match_sympy(self, seed):
+        rng = random.Random(9300 + seed)
+        ring = ring_xyz(3)
+        syms = sympy.symbols("t0 t1 t2")
+        gens = [_random_poly(ring, rng, max_terms=4, coeffs=RATIONAL_COEFFS)
+                for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero]
+        mine = buchberger(gens, GREVLEX, ring=ring)
+        theirs = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="grevlex")
+        theirs_elements = {make_monic(_from_sympy(p, ring, syms), GREVLEX)
+                           for p in theirs.exprs}
+        assert set(mine.elements) == theirs_elements
+
+
+class TestEngineCounters:
+    def test_counters_accumulate_on_the_budget(self):
+        gens = [X * Y - Z, Y * Z - X, Z * X - Y, X * X - 1]
+        budget = Budget()
+        first = buchberger(gens, GREVLEX, budget, ring=R)
+        c = budget.counters
+        assert c.s_pairs > 0
+        assert 0 < c.zero_reductions < c.s_pairs
+        assert c.dropped_coprime + c.dropped_mf + c.dropped_b > 0
+        assert c.normal_form_steps > 0
+        once = dataclasses.astuple(c)
+        assert buchberger(gens, GREVLEX, budget, ring=R) == first
+        assert dataclasses.astuple(c) == tuple(2 * v for v in once)
+
+    def test_coprime_pairs_are_never_reduced(self):
+        # pairwise coprime leading monomials: every pair goes by the
+        # product criterion and no S-polynomial is formed
+        budget = Budget()
+        basis = buchberger([X * X - 1, Y * Y - 2, Z ** 3 - Y], GREVLEX, budget, ring=R)
+        assert len(basis) == 3
+        assert budget.counters.s_pairs == 0
+        assert budget.counters.dropped_coprime == 3
+
+    def test_unit_ideal_stops_early(self):
+        budget = Budget()
+        basis = buchberger([X * Y - 1, X, Y * Z - Z], GREVLEX, budget, ring=R)
+        assert basis.elements == (R.one,)
 
 
 class TestSaturationModes:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repcount.groebner import Budget
 from repcount.poly import (
     DivisorTable,
     MonomialOrder,
@@ -32,10 +33,12 @@ R3 = small_ring(3)
 X, Y, Z = (R3.variable(v) for v in R3.variables)
 
 
-def poly_strategy(ring, max_terms=5, max_exp=4):
+def poly_strategy(ring, max_terms=5, max_exp=4, coeffs=None):
     nv = ring.nvars()
     mono = st.tuples(*([st.integers(0, max_exp)] * nv))
-    coeff = st.fractions(min_value=-5, max_value=5).filter(lambda c: c != 0)
+    if coeffs is None:
+        coeffs = st.fractions(min_value=-5, max_value=5)
+    coeff = coeffs.filter(lambda c: c != 0)
     term = st.tuples(mono, coeff)
 
     def build(terms):
@@ -218,6 +221,7 @@ class TestDivision:
     def test_reduce_wrapper(self):
         assert reduce(X * X, [X * X - Y], GREVLEX) == Y
 
+
     def test_exact_divide(self):
         f = (X + Y) * (X - Y)
         assert exact_divide(f, X + Y, GREVLEX) == X - Y
@@ -238,3 +242,74 @@ class TestDivision:
         ring = PolyRing.ranked([v])
         f = ring.variable(v) ** 2 - ring.variable(v)
         assert "x[1,1,1]" in repr(f)
+
+
+def fraction_normal_form(f, divisors, order):
+    """The division rule of `DivisorTable`, in Fractions only: the largest
+    pending term is rewritten against the first divisor whose leading
+    monomial divides it, or else moved to the remainder."""
+    leads = [(g, *leading_term(g, order)) for g in divisors if not g.is_zero]
+    pending, out = dict(f.terms), {}
+    while pending:
+        m = max(pending, key=order.key)
+        c = pending.pop(m)
+        for g, lm, lc in leads:
+            if all(a <= b for a, b in zip(lm, m)):
+                scale = Fraction(c) / Fraction(lc)
+                shift = tuple(a - b for a, b in zip(m, lm))
+                for tm, tc in g.terms.items():
+                    if tm != lm:
+                        m2 = tuple(a + b for a, b in zip(tm, shift))
+                        pending[m2] = pending.get(m2, Fraction(0)) - scale * tc
+                        if not pending[m2]:
+                            del pending[m2]
+                break
+        else:
+            out[m] = c
+    return Polynomial(f.ring, out)
+
+
+# integral coefficients most of the time, so the int path runs, and
+# fractions often enough that the exact fallback runs too
+MIXED_COEFF = st.one_of(st.integers(-6, 6), st.fractions(min_value=-5, max_value=5,
+                                                         max_denominator=7))
+
+
+class TestDivisorTable:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(poly_strategy(R3, max_terms=4, max_exp=2, coeffs=MIXED_COEFF), max_size=4),
+           poly_strategy(R3, max_terms=6, max_exp=4, coeffs=MIXED_COEFF),
+           st.sampled_from([GREVLEX, LEX]))
+    def test_grown_table_equals_table_built_at_once(self, divisors, f, order):
+        grown = DivisorTable([], order)
+        for g in divisors:
+            grown.add(g)
+        at_once = DivisorTable(divisors, order)
+        assert grown.entries == at_once.entries
+        assert grown.min_degree == at_once.min_degree
+        assert grown.normal_form(f) == at_once.normal_form(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(poly_strategy(R3, max_terms=4, max_exp=2, coeffs=MIXED_COEFF),
+                    min_size=1, max_size=4),
+           poly_strategy(R3, max_terms=6, max_exp=4, coeffs=MIXED_COEFF),
+           st.booleans(), st.sampled_from([GREVLEX, LEX]))
+    def test_normal_form_matches_fraction_reference(self, divisors, f, primitive, order):
+        if primitive:  # integral divisors with leading coefficients other than 1
+            divisors = [primitive_part(g, order) for g in divisors]
+        r = DivisorTable(divisors, order).normal_form(f, Budget())
+        assert r == fraction_normal_form(f, divisors, order)
+        assert all(type(c) is Fraction for c in r.terms.values())
+
+    def test_inexact_leading_coefficient_falls_back_to_fractions(self):
+        table = DivisorTable([X * 2 - 3, Y * 3 + 1], GREVLEX)
+        r = table.normal_form(X * Y * 5 + X * 4 + 7)
+        # 5xy -> 15/2 y (inexact), 4x -> 6 (exact), 15/2 y -> -5/2 (inexact)
+        assert r == R3.constant(Fraction(21, 2))
+        assert all(type(c) is Fraction for c in r.terms.values())
+
+    def test_budget_counts_the_steps(self):
+        budget = Budget()
+        DivisorTable([X - 1], GREVLEX).normal_form(X ** 3 + Y, budget)
+        # x^3, x^2, x, y and 1: five terms taken off the heap
+        assert budget.counters.normal_form_steps == 5
