@@ -30,7 +30,6 @@ from .decide import (
     Verdict,
     collapsed_certificate_values,
     decide_finiteness,
-    is_algebraic,
     minimal_polynomial,
     run_pipeline,
     saturated_locus,
@@ -53,8 +52,6 @@ from .groebner import (
     ResourceLimitExceeded,
     ResourceLimits,
     buchberger,
-    eliminate,
-    equal_ideals,
     ideal_quotient,
     intersect,
     s_polynomial,

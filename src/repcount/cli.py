@@ -93,17 +93,23 @@ def _run(args: argparse.Namespace) -> PipelineRun:
     return run_pipeline(decision_input)
 
 
-def _json_payload(run: PipelineRun, report: CountReport | None) -> dict:
+def _json_payload(run: PipelineRun, report: CountReport | None,
+                  count_overrun: ResourceLimitExceeded | None = None) -> dict:
+    """The --json payload.  A run stopped by a limit, in the decision or in
+    the count, has status "resource-limit" and says why and in which stage."""
     verdict = run.verdict
     if verdict.outcome is Outcome.INCONCLUSIVE:
-        status = "resource-limit"
+        head = {"status": "resource-limit", "reason": verdict.inconclusive_reason,
+                "stage": verdict.inconclusive_stage}
+    elif count_overrun is not None:
+        head = {"status": "resource-limit", "reason": str(count_overrun), "stage": "count"}
     else:
-        status = "ok"
+        head = {"status": "ok"}
     minimal = {word: mp.degree for word, mp in verdict.minimal_polynomials.items()}
     metrics = verdict.metrics.as_dict()
     timings = {k: int(round(v * 1000)) for k, v in sorted(verdict.metrics.timings.items())}
     return {
-        "status": status,
+        **head,
         "verdict": verdict.outcome.value,
         "certified": run.input.certified,
         "count": report.count if report is not None else None,
@@ -114,8 +120,9 @@ def _json_payload(run: PipelineRun, report: CountReport | None) -> dict:
     }
 
 
-def _print_json(run: PipelineRun, report: CountReport | None) -> None:
-    print(json.dumps(_json_payload(run, report), indent=2))
+def _print_json(run: PipelineRun, report: CountReport | None,
+                count_overrun: ResourceLimitExceeded | None = None) -> None:
+    print(json.dumps(_json_payload(run, report, count_overrun), indent=2))
 
 
 def _emit_dumps(targets, run: PipelineRun, report: CountReport | None) -> None:
@@ -250,7 +257,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         else:
             print("INFINITE (witness: %s)" % verdict.witness.render(), file=sys.stderr)
         return 4
-    report = count_from_run(run)
+    try:
+        report = count_from_run(run)
+    except ResourceLimitExceeded as stop:
+        if not args.json:
+            raise
+        _print_json(run, None, stop)
+        return 3
     _emit_dumps(args.dump, run, report)
     if args.json:
         _print_json(run, report)

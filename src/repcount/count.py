@@ -14,6 +14,10 @@ trace generators, which yields the matrices L_g of multiplication by each
 generator g.  Every basis element after the unit is b_i = b_p * g for an
 earlier b_p, so b_i * b_j = L_g(b_p * b_j): the structure table follows from
 those matrices without reducing any product of two basis elements.
+
+Structure constants and Gram entries are Python ints wherever they are
+integral, and Fractions only where a denominator appears; the rank of the
+Gram matrix is computed fraction-free (see `linalg.matrix_rank`).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .decide import Outcome, PipelineRun
 from .genmat import TraceGenerator
 from .groebner import Budget, GroebnerBasis, ResourceLimitExceeded
 from .linalg import PolyEchelon, matrix_rank
-from .poly import Polynomial
+from .poly import _int_if_integral
 
 
 class InfiniteRepresentations(Exception):
@@ -37,27 +41,21 @@ class InfiniteRepresentations(Exception):
 class FiniteDimAlgebra:
     """The trace subalgebra of the coordinate ring modulo the locus ideal,
     with a linear basis (basis[0] is the unit) and structure constants
-    basis[i]*basis[j] = sum_l structure[i][j][l]*basis[l]."""
+    basis[i]*basis[j] = sum_l structure[i][j][l]*basis[l].
+
+    Each structure[i][j] is a dict {l: int | Fraction} of the nonzero
+    constants; a constant is an int unless the coordinates of a
+    basis-times-generator product have a denominator."""
 
     basis: tuple
-    structure: tuple  # structure[i][j] is a dict {l: Fraction}
+    structure: tuple
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def multiplication_matrix(self, i: int):
-        """Matrix of multiplication by basis[i], rows indexed by target."""
-        d = self.dimension
-        rows = [[Fraction(0)] * d for _ in range(d)]
-        for k in range(d):
-            for l, c in self.structure[i][k].items():
-                rows[l][k] = c
-        return tuple(tuple(r) for r in rows)
-
-    def regular_trace(self, i: int) -> Fraction:
-        return sum((self.structure[i][k].get(k, Fraction(0))
-                    for k in range(self.dimension)), Fraction(0))
+    def regular_trace(self, i: int) -> int | Fraction:
+        return sum(self.structure[i][k].get(k, 0) for k in range(self.dimension))
 
 
 def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
@@ -103,15 +101,15 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
             if status == "added":
                 basis.append(product)
                 parents.append((frontier, g))
-                columns[g].append({value: Fraction(1)})
+                columns[g].append({value: 1})
                 if len(basis) > max_dim:
                     raise ResourceLimitExceeded(
                         "basis", "quotient algebra dimension exceeded %d" % max_dim)
             else:
-                columns[g].append(value)
+                columns[g].append({k: _int_if_integral(c) for k, c in value.items()})
         frontier += 1
     d = len(basis)
-    structure = [[{j: Fraction(1)} for j in range(d)]] + [[None] * d for _ in range(1, d)]
+    structure = [[{j: 1} for j in range(d)]] + [[None] * d for _ in range(1, d)]
     for i in range(1, d):
         budget.tick()
         p, g = parents[i]
@@ -130,7 +128,7 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
 
 @dataclass(frozen=True)
 class TraceFormReport:
-    gram: tuple  # tuple of tuples of Fraction
+    gram: tuple  # tuple of tuples of int | Fraction, int where integral
     rank: int
 
 
@@ -144,10 +142,10 @@ def trace_form(algebra: FiniteDimAlgebra, limits=None) -> TraceFormReport:
         budget.tick()
         row = algebra.structure[i]
         for j in range(i, d):
-            total = Fraction(0)
+            total = 0
             for l, c in row[j].items():
                 total += c * traces[l]
-            gram[i][j] = gram[j][i] = total
+            gram[i][j] = gram[j][i] = _int_if_integral(total)
     gram = tuple(tuple(row) for row in gram)
     return TraceFormReport(gram, matrix_rank(gram, budget))
 

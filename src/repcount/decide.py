@@ -171,18 +171,21 @@ class Verdict:
     witness: TraceGenerator | None = None
     minimal_polynomials: dict = field(default_factory=dict)  # rendered word -> MinimalPolynomial
     inconclusive_reason: str | None = None
+    inconclusive_stage: str | None = None  # the stage that was running at the overrun
     metrics: PipelineMetrics = field(default_factory=PipelineMetrics)
 
 
 class _Stopwatch:
     def __init__(self):
         self.timings: dict = {}
+        self.current: str | None = None  # the last stage entered
 
     def stage(self, name: str):
         watch = self
 
         class _Ctx:
             def __enter__(self):
+                watch.current = name
                 self.t0 = time.perf_counter()
                 return self
 
@@ -247,10 +250,6 @@ def minimal_polynomial(f: Polynomial, basis: GroebnerBasis, limits=None,
     for mono, c in poly.terms.items():
         coeffs[mono[ypos]] = c
     return MinimalPolynomial(tuple(coeffs))
-
-
-def is_algebraic(f: Polynomial, basis: GroebnerBasis, limits=None) -> bool:
-    return minimal_polynomial(f, basis, limits) is not None
 
 
 # -- certificate collapse and saturation ------------------------------------
@@ -438,8 +437,8 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
                 run.verdict = Verdict(Outcome.FINITE, minimal_polynomials=minimal,
                                       metrics=metrics)
     except ResourceLimitExceeded as stop:
-        run.verdict = Verdict(Outcome.INCONCLUSIVE,
-                              inconclusive_reason=str(stop), metrics=metrics)
+        run.verdict = Verdict(Outcome.INCONCLUSIVE, inconclusive_reason=str(stop),
+                              inconclusive_stage=clock.current, metrics=metrics)
     metrics.timings = dict(clock.timings)
     return run
 

@@ -39,13 +39,6 @@ class GenericMatrixSpace:
     ring: PolyRing
     matrices: tuple
 
-    def word_matrix(self, word: Sequence[int]) -> Matrix:
-        """Ordered product of generic matrices; the empty word is the identity."""
-        out = Matrix.identity(self.n, self.ring.one, self.ring.zero)
-        for letter in word:
-            out = out * self.matrices[letter]
-        return out
-
 
 def build_generic_space(n: int, s: int) -> GenericMatrixSpace:
     if n < 1:
@@ -248,14 +241,6 @@ def trace_generators(space: GenericMatrixSpace) -> tuple:
     return tuple(TraceGenerator(cw, traces[cw.letters]) for cw in necklaces)
 
 
-def _all_words(s: int, max_len: int) -> list:
-    """All words of length 0..max_len, sorted by length then lexicographically."""
-    out = [()]
-    for length in range(1, max_len + 1):
-        out.extend(product(range(s), repeat=length))
-    return out
-
-
 def _ends_in_power(word: tuple, n: int) -> bool:
     """Whether some suffix of word equals u^n for a nonempty word u."""
     for period in range(1, len(word) // n + 1):
@@ -267,8 +252,8 @@ def _ends_in_power(word: tuple, n: int) -> bool:
 
 def certificate_words(s: int, max_len: int, n: int) -> list:
     """The n-th-power-free words of length 0..max_len: those with no factor
-    u^n for a nonempty word u.  Sorted by length then lexicographically, like
-    `_all_words`, and prefix-closed.
+    u^n for a nonempty word u.  Sorted by length then lexicographically, and
+    prefix-closed.
 
     They B-span the same module as all words of length <= max_len, so the
     certificates built from them generate the same ideal.  By induction on

@@ -133,10 +133,6 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(repr(g) for g in self.generators)
 
 
-def unit_ideal(ring: PolyRing) -> Ideal:
-    return Ideal(ring, (ring.one,))
-
-
 class GroebnerBasis:
     """A reduced Groebner basis: monic, tail-reduced, sorted by leading term."""
 
@@ -157,10 +153,6 @@ class GroebnerBasis:
     @property
     def is_unit(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.elements
 
     def normal_form(self, f: Polynomial, budget: Budget | None = None) -> Polynomial:
         return self.table.normal_form(f, budget)
@@ -310,28 +302,6 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
             return GroebnerBasis(ring, order, (ring.one,))
 
     return GroebnerBasis(ring, order, _interreduce([basis[i] for i in active], order, budget))
-
-
-def contains(basis: GroebnerBasis, f: Polynomial, limits=None) -> bool:
-    """Ideal membership: does f reduce to zero against the basis?"""
-    return basis.normal_form(f, Budget.of(limits)).is_zero
-
-
-def equal_ideals(a: Ideal, b: Ideal, order: MonomialOrder = GREVLEX, limits=None) -> bool:
-    budget = Budget.of(limits)
-    return buchberger(a, order, budget) == buchberger(b, order, budget)
-
-
-def eliminate(ideal: Ideal, drop: Iterable, limits=None, inner: str = "grevlex") -> Ideal:
-    """Generators of (ideal intersect the subring without the dropped variables)."""
-    budget = Budget.of(limits)
-    ring = ideal.ring
-    positions = sorted(ring.position[v] for v in set(drop))
-    order = MonomialOrder.elimination(positions, ring.nvars(), inner)
-    gb = buchberger(ideal, order, budget)
-    pos_set = set(positions)
-    kept = [g for g in gb.elements if not (g.support_positions() & pos_set)]
-    return Ideal(ring, kept)
 
 
 def intersect(a: Ideal, b: Ideal, limits=None) -> Ideal:

@@ -9,6 +9,7 @@ linear combination of the originals or is added as a new row.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .groebner import Budget
@@ -82,27 +83,52 @@ class PolyEchelon:
         return {k: -c for k, c in combo.items()}
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]], limits=None) -> int:
-    """Rank of a rational matrix by plain Gaussian elimination; with limits,
-    the budget is checked before each row operation."""
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its entries."""
+    content = gcd(*row.values())
+    return row if content == 1 else {k: c // content for k, c in row.items()}
+
+
+def matrix_rank(rows: Sequence[Sequence[int | Fraction]], limits=None) -> int:
+    """Rank of a rational matrix, computed fraction-free on sparse rows.
+
+    Each row is multiplied by the lcm of its entries' denominators, which
+    does not change the rank, and kept as a dict {column: int} of its
+    nonzero entries.  Rows are reduced one after another against the pivot
+    rows kept so far, leading column first, by row <- a*row - b*pivot with
+    a/b the two leading entries in lowest terms; after every such operation
+    the row is divided by its content (the gcd of its entries), so entries
+    stay near the size of the minors they represent.  A row that reduces to
+    zero adds nothing; any other becomes the pivot row of its leading column,
+    and the rank is the number of pivot rows.  With limits, the budget is
+    checked before each row operation.
+    """
     budget = Budget.of(limits)
-    work = [list(map(Fraction, r)) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            col += 1
+    pivots: dict = {}  # leading column -> primitive integer row
+    for values in rows:
+        row = {k: c for k, c in enumerate(values) if c}
+        if not row:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                budget.tick()
-                scale = work[r][col] / lead
-                for c in range(col, ncols):
-                    work[r][c] -= scale * work[rank][c]
-        rank += 1
-        col += 1
-    return rank
+        den = lcm(*(c.denominator for c in row.values()))
+        row = _primitive({k: c.numerator * (den // c.denominator) for k, c in row.items()})
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            budget.tick()
+            a, b = pivot[col], row[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {k: a * c for k, c in row.items()}
+            for k, c in pivot.items():
+                acc = row.get(k, 0) - b * c
+                if acc:
+                    row[k] = acc
+                else:
+                    del row[k]
+            if row:
+                row = _primitive(row)
+    return len(pivots)

@@ -436,9 +436,6 @@ class MonomialOrder:
             self._cache[mono] = k
         return k
 
-    def greater(self, a: Exponents, b: Exponents) -> bool:
-        return self.key(a) > self.key(b)
-
     def __repr__(self) -> str:
         if self.scheme == "block":
             return "MonomialOrder(block, dropped=%r)" % (self.dropped,)

@@ -19,7 +19,6 @@ from repcount.groebner import (
     Ideal,
     ResourceLimits,
     buchberger,
-    equal_ideals,
     ideal_quotient,
     intersect,
     s_polynomial,
@@ -30,7 +29,7 @@ from repcount.poly import MonomialOrder, PolyRing, auxiliary
 from repcount.presentation import parse_presentation
 
 from conftest import load
-from oracles import saturate
+from oracles import equal_ideals, saturate
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()

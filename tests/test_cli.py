@@ -193,7 +193,11 @@ class TestJson:
                                  "--max-seconds", "0.0001", "--json")
         assert code == 3
         payload = json.loads(out)
+        assert list(payload) == ["status", "reason", "stage", "verdict", "certified", "count",
+                                 "witness", "minimal_polynomials", "metrics", "timings_ms"]
         assert payload["status"] == "resource-limit"
+        assert payload["reason"] == "time limit exceeded"
+        assert payload["stage"] == "relations"
         assert payload["verdict"] == "inconclusive"
 
 
@@ -258,16 +262,16 @@ class TestDumps:
         assert err.count("# relations ideal") == 1
 
 
-# Commutative, so at n = 1 it is finite.  Deciding takes about 0.7 s on a
-# 2-core Xeon (minimal polynomials of degree up to 256, hence the raised
-# --max-degree); the trace algebra has dimension 1024, far too large to
-# count in the budget.
+# Commutative, so at n = 1 it is finite.  Deciding takes about 0.5 s on a
+# 2-core Xeon (minimal polynomials of degree up to 152, hence the raised
+# --max-degree); the trace algebra has dimension 2048, and counting it
+# without a budget takes about 22 s there, far beyond the budget.
 SLOW_COUNT = """generators: x, y, z, w, v
 relation: x^4 - y*z - 1
 relation: y^4 - x*z - 1
 relation: z^4 - x*y - 1
 relation: w^4 - x - 1
-relation: v^4 - 1
+relation: v^8 - 1
 """
 
 
@@ -287,6 +291,21 @@ class TestBudget:
         assert "time limit exceeded" in err
         assert "INCONCLUSIVE" not in err  # the decision finished; the count overran
         assert elapsed < budget + 0.3
+
+    def test_count_stage_overrun_prints_the_json_payload(self, capsys, tmp_path):
+        path = tmp_path / "slow_count.alg"
+        path.write_text(SLOW_COUNT)
+        code, out, err = run_cli(capsys, "count", str(path), "-n", "1", "--json",
+                                 "--max-seconds", "2", "--max-degree", "1000")
+        assert code == 3
+        payload = json.loads(out)
+        assert list(payload)[:4] == ["status", "reason", "stage", "verdict"]
+        assert payload["status"] == "resource-limit"
+        assert payload["reason"] == "time limit exceeded"
+        assert payload["stage"] == "count"
+        assert payload["verdict"] == "finite"
+        assert payload["count"] is None
+        assert err == ""
 
 
 A4 = """generators: a, b
@@ -337,6 +356,8 @@ class TestDecideBudget:
         assert code == 3
         payload = json.loads(out)
         assert payload["status"] == "resource-limit"
+        assert payload["reason"] == "time limit exceeded"
+        assert payload["stage"] == "algebraic"
         assert "algebraic" in payload["timings_ms"]  # the overrun is past the locus stage
         assert elapsed < budget + 0.3
 

@@ -24,6 +24,7 @@ from repcount.poly import MonomialOrder
 from repcount.presentation import parse_presentation
 
 from conftest import ALGEBRAS
+from oracles import dense_fraction_rank, multiplication_matrix
 
 GREVLEX = MonomialOrder.grevlex()
 
@@ -115,7 +116,7 @@ class TestAlgebraStructure:
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
         assert algebra.dimension == 2
         # multiplication by 1 is the identity matrix
-        ident = algebra.multiplication_matrix(0)
+        ident = multiplication_matrix(algebra, 0)
         assert ident == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         assert algebra.regular_trace(0) == algebra.dimension
 
@@ -178,6 +179,15 @@ relation: x*y - y*x
 """
 
 
+# x = ±1/√2 and y^2 = x/3: four points, whose trace algebra has Fraction
+# structure constants (x*x = 1/2) and a Fraction in its Gram matrix
+NON_INTEGRAL = """generators: x, y
+relation: x*y - y*x
+relation: 2*x^2 - 1
+relation: 3*y^2 - x
+"""
+
+
 # at n = 1 these have no finite trace algebra: three infinite families, and
 # the Weyl algebra, whose locus is the unit ideal
 NO_ALGEBRA_AT_N1 = {"free2", "qplane", "commuting_plane", "weyl"}
@@ -188,6 +198,7 @@ def _oracle_cases():
              for path in sorted(ALGEBRAS.glob("*.alg")) if path.stem not in NO_ALGEBRA_AT_N1]
     cases.append(pytest.param((ALGEBRAS / "s3.alg").read_text(), 2, id="s3-n2"))
     cases.append(pytest.param(C4_C6, 1, id="c4xc6-n1"))
+    cases.append(pytest.param(NON_INTEGRAL, 1, id="non-integral-n1"))
     return cases
 
 
@@ -214,6 +225,25 @@ class TestStructureOracle:
         assert report.algebra_dimension == 24
         assert report.count == 24
 
+    def test_integral_constants_are_ints(self):
+        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))
+        constants = [c for row in report.algebra.structure for entry in row
+                     for c in entry.values()]
+        assert constants and all(type(c) is int for c in constants)
+        assert all(type(c) is int for row in report.gram for c in row)
+
+    def test_non_integral_algebra_keeps_its_fractions(self):
+        run = run_pipeline(DecisionInput(parse_presentation(NON_INTEGRAL), 1))
+        report = count_from_run(run)
+        basis, structure = direct_algebra(run.locus_basis, run.generators)
+        gram = direct_gram(basis, structure)
+        assert report.algebra.structure == structure and report.gram == gram
+        constants = [c for row in report.algebra.structure for entry in row
+                     for c in entry.values()]
+        assert Fraction(1, 2) in constants
+        assert any(type(c) is Fraction and c.denominator > 1 for row in report.gram for c in row)
+        assert report.count == dense_fraction_rank(gram) == 4
+
     def test_normal_forms_are_one_per_closure_product(self, monkeypatch):
         run = run_pipeline(DecisionInput(parse_presentation(C4_C6), 1))
         calls = []
@@ -227,3 +257,36 @@ class TestStructureOracle:
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
         k, d = len(run.generators), algebra.dimension
         assert 0 < len(calls) <= k * (d + 1)
+
+
+def _presentation(generators, *relations):
+    return "generators: %s\n" % generators + "".join("relation: %s\n" % r for r in relations)
+
+
+# Q[G] for a finite group G is semisimple over the algebraic closure, with one
+# simple factor M_d per complex irreducible character of degree d
+# (Artin-Wedderburn), so the count at n is the number of degree-n characters.
+# The degrees below are the groups' character tables, not pipeline output;
+# the sum of their squares is the order of the group.
+GROUP_ALGEBRAS = (
+    [("C%d" % k, _presentation("a", "a^%d - 1" % k), k, [1] * k) for k in range(3, 9)]
+    + [("D%d" % k, _presentation("a, b", "a^2 - 1", "b^%d - 1" % k, "a*b*a*b - 1"), 2 * k,
+        [1, 1] + [2] * ((k - 1) // 2) if k % 2 else [1, 1, 1, 1] + [2] * ((k - 2) // 2))
+       for k in range(3, 9)]
+    + [("Q8", _presentation("a, b", "a^4 - 1", "b^2 - a^2", "b*a - a^3*b"), 8,
+        [1, 1, 1, 1, 2]),
+       ("A4", _presentation("a, b", "a^2 - 1", "b^3 - 1", "a*b*a*b*a*b - 1"), 12,
+        [1, 1, 1, 3]),
+       ("S4", _presentation("a, b", "a^2 - 1", "b^4 - 1", "a*b*a*b*a*b - 1"), 24,
+        [1, 1, 2, 3, 3])])
+
+
+class TestGroupAlgebras:
+    @pytest.mark.parametrize("name,text,order,degrees",
+                             [pytest.param(*case, id=case[0]) for case in GROUP_ALGEBRAS])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_count_is_the_number_of_characters_of_degree_n(self, name, text, order,
+                                                           degrees, n):
+        assert sum(d * d for d in degrees) == order
+        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(text), n)))
+        assert report.count == degrees.count(n), (name, n)

@@ -21,13 +21,10 @@ from repcount.groebner import (
     ResourceLimitExceeded,
     ResourceLimits,
     buchberger,
-    eliminate,
-    equal_ideals,
     ideal_quotient,
     intersect,
     s_polynomial,
     saturate_principal,
-    unit_ideal,
 )
 from repcount.poly import (
     MonomialOrder,
@@ -38,7 +35,7 @@ from repcount.poly import (
     make_monic,
 )
 
-from oracles import saturate
+from oracles import eliminate, equal_ideals, saturate, unit_ideal
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -82,7 +79,7 @@ class TestHandCases:
 
     def test_zero_ideal(self):
         basis = buchberger([], GREVLEX, ring=R2)
-        assert basis.is_trivial
+        assert basis.elements == ()
         assert basis.normal_form(U * V + 1) == U * V + 1
 
     def test_intersection_of_axes(self):
