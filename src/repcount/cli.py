@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .count import CountReport, InfiniteRepresentations, build_quotient_algebra, count_from_run
 from .decide import DecisionInput, Outcome, PipelineRun, RunOptions, run_pipeline
-from .genmat import certificate_words, certificates, length_bound
+from .genmat import certificate_words, certificates, length_bound, trace_generators
 from .groebner import ResourceLimitExceeded, ResourceLimits
 from .presentation import PresentationError, parse_presentation
 
@@ -125,7 +125,8 @@ def _print_json(run: PipelineRun, report: CountReport | None,
     print(json.dumps(_json_payload(run, report, count_overrun), indent=2))
 
 
-def _emit_dumps(targets, run: PipelineRun, report: CountReport | None) -> None:
+def _emit_dumps(targets, run: PipelineRun, report: CountReport | None,
+                count_overrun: bool = False) -> None:
     err = sys.stderr
     done = set()
     for target in targets:
@@ -147,13 +148,15 @@ def _emit_dumps(targets, run: PipelineRun, report: CountReport | None) -> None:
             for g in basis.elements:
                 print(g, file=err)
         elif target == "traces":
-            print("# trace generators (%d)" % len(run.generators), file=err)
-            for tg in run.generators:
+            # the run keeps the values reduced modulo the locus; print tr(w) itself
+            generators = trace_generators(run.space) if run.generators else ()
+            print("# trace generators (%d)" % len(generators), file=err)
+            for tg in generators:
                 print("%s = %s" % (tg.render(), tg.value), file=err)
         elif target == "sset":
             _dump_certificates(run, err)
         elif target == "algebra":
-            _dump_algebra(run, report, err)
+            _dump_algebra(run, report, err, count_overrun)
 
 
 def _dump_certificates(run: PipelineRun, err) -> None:
@@ -174,12 +177,16 @@ def _dump_certificates(run: PipelineRun, err) -> None:
     print("# %d nonzero certificates streamed" % emitted, file=err)
 
 
-def _dump_algebra(run: PipelineRun, report: CountReport | None, err) -> None:
+def _dump_algebra(run: PipelineRun, report: CountReport | None, err,
+                  count_overrun: bool) -> None:
     if run.verdict.outcome is not Outcome.FINITE or run.locus_basis is None:
         print("# no finite algebra to dump", file=err)
         return
     if run.locus_basis.is_unit:
         print("# locus ideal is the unit ideal; the algebra is zero", file=err)
+        return
+    if count_overrun:
+        print("# trace algebra not built: count stage ran out of budget", file=err)
         return
     if report is not None:
         algebra = report.algebra
@@ -210,9 +217,9 @@ def _verbose_decide(run: PipelineRun) -> None:
               % (m.locus_gb_size, m.locus_gb_max_degree))
     e = m.engine
     print("engine: %d S-pairs reduced (%d to zero), pairs dropped: %d coprime, %d M/F, "
-          "%d B; %d normal-form steps"
+          "%d B; %d normal-form steps; basis coefficients up to %d bits"
           % (e.s_pairs, e.zero_reductions, e.dropped_coprime, e.dropped_mf, e.dropped_b,
-             e.normal_form_steps))
+             e.normal_form_steps, e.max_coeff_bits))
     for word, mp in verdict.minimal_polynomials.items():
         print("tr(%s): %s" % (word, mp.render()))
     for stage, seconds in sorted(m.timings.items()):
@@ -260,6 +267,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     try:
         report = count_from_run(run)
     except ResourceLimitExceeded as stop:
+        _emit_dumps(args.dump, run, None, count_overrun=True)
         if not args.json:
             raise
         _print_json(run, None, stop)

@@ -47,7 +47,7 @@ from .groebner import (
     saturate_principal,
 )
 from .linalg import PolyEchelon
-from .poly import MonomialOrder, Polynomial, base_order
+from .poly import MonomialOrder, Polynomial, base_order, signed_sum
 from .presentation import Presentation
 
 
@@ -121,21 +121,8 @@ class MinimalPolynomial:
         return total
 
     def render(self, var: str = "y") -> str:
-        chunks = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                head = var if k == 1 else "%s^%d" % (var, k)
-                body = head if abs(c) == 1 else "%s*%s" % (abs(c), head)
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return signed_sum((self.coeffs[k], "" if k == 0 else var if k == 1 else "%s^%d" % (var, k))
+                          for k in range(self.degree, -1, -1) if self.coeffs[k] != 0)
 
 
 @dataclass
@@ -365,7 +352,7 @@ class PipelineRun:
     relations: Ideal
     relations_basis: GroebnerBasis | None
     locus_basis: GroebnerBasis | None
-    generators: tuple
+    generators: tuple  # their values are normal forms modulo the locus
     verdict: Verdict
     budget: Budget
 
@@ -419,7 +406,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
             metrics.locus_gb_max_degree = locus.max_degree()
 
         with clock.stage("algebraic"):
-            gens = trace_generators(space)
+            gens = trace_generators(space, lambda e: locus.normal_form(e, budget))
             run.generators = gens
             metrics.trace_generator_count = len(gens)
             minimal = {}

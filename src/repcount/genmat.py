@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 from .groebner import Budget, Ideal
 from .matrices import Matrix, trace_of_product
 from .poly import PolyRing, Polynomial, matrix_entry
-from .presentation import Presentation, substitute
+from .presentation import Presentation, format_word, substitute
 
 
 @dataclass(frozen=True)
@@ -161,22 +161,8 @@ class CyclicWord:
     def __len__(self):
         return len(self.letters)
 
-    def rotations(self) -> list:
-        w = self.letters
-        return [w[k:] + w[:k] for k in range(len(w))]
-
     def render(self) -> str:
-        parts = []
-        run_letter, run_len = self.letters[0], 1
-        for letter in self.letters[1:]:
-            if letter == run_letter:
-                run_len += 1
-            else:
-                parts.append((run_letter, run_len))
-                run_letter, run_len = letter, 1
-        parts.append((run_letter, run_len))
-        return "*".join("x%d" % (l + 1) if e == 1 else "x%d^%d" % (l + 1, e)
-                        for l, e in parts)
+        return format_word(self.letters, ["x%d" % (l + 1) for l in range(max(self.letters) + 1)])
 
 
 @dataclass(frozen=True)
@@ -231,13 +217,15 @@ def _word_matrices(space: GenericMatrixSpace, words: Sequence[tuple],
             del matrices[w]
 
 
-def trace_generators(space: GenericMatrixSpace) -> tuple:
+def trace_generators(space: GenericMatrixSpace, reduce: Callable | None = None) -> tuple:
     """Trace ring generators: tr(w) over cyclic words of length <= n^2,
     sorted by length then lexicographically.  The word matrices come from
-    `_word_matrices`, one product per distinct prefix."""
+    `_word_matrices`, one product per distinct prefix.  `reduce`, if given,
+    maps every entry of every product; a normal form gives the normal form
+    of tr(w)."""
     necklaces = _necklaces(space.s, space.n * space.n)
     words = [cw.letters for cw in necklaces]
-    traces = {w: m.trace() for w, m in _word_matrices(space, words)}
+    traces = {w: m.trace() for w, m in _word_matrices(space, words, reduce)}
     return tuple(TraceGenerator(cw, traces[cw.letters]) for cw in necklaces)
 
 

@@ -7,8 +7,9 @@ all phrased in terms of it.  Resource limits (wall clock, degree cap, basis
 size cap) raise `ResourceLimitExceeded`, a distinct failure mode meaning
 "ran out of budget", never "wrong answer".
 
-`buchberger` keeps one divisor table for the whole run, prunes pairs with
-the Gebauer-Moeller update (Gebauer and Moeller, J. Symbolic Comput. 6
+`buchberger` keeps one divisor table for the whole run, reduces every
+S-pair inside it on packed monomials and integer coefficients, prunes pairs
+with the Gebauer-Moeller update (Gebauer and Moeller, J. Symbolic Comput. 6
 (1988); the UPDATE procedure of Becker and Weispfenning, "Groebner Bases",
 1993) and tail-reduces the final basis in one pass.  Each `Budget` counts
 the work it has paid for in `EngineCounters`.
@@ -28,6 +29,7 @@ from .poly import (
     GREVLEX,
     PolyRing,
     Polynomial,
+    ResourceLimitExceeded,
     exact_divide,
     leading_term,
     make_monic,
@@ -39,15 +41,6 @@ from .poly import (
 # unused here, but bench/tracing.py wraps `poly.reduce` in every module that
 # binds it, and its self-test checks this binding
 from .poly import reduce as poly_reduce  # noqa: F401
-
-
-class ResourceLimitExceeded(Exception):
-    """A computation hit a configured budget; the run is inconclusive."""
-
-    def __init__(self, kind: str, detail: str = ""):
-        self.kind = kind
-        self.detail = detail
-        super().__init__("%s limit exceeded%s" % (kind, (": " + detail) if detail else ""))
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,8 @@ class EngineCounters:
     dropped_coprime: int = 0
     dropped_mf: int = 0
     dropped_b: int = 0
-    normal_form_steps: int = 0  # terms taken off the heap in normal_form
+    normal_form_steps: int = 0  # terms taken off the heap in a reduction
+    max_coeff_bits: int = 0  # the widest coefficient of an inserted element; a maximum
 
 
 class Budget:
@@ -226,6 +220,13 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
     of another new pair's are dropped, and so are the old pairs whose lcm
     the new leading monomial divides strictly (the counts are kept in
     `budget.counters`).  A constant element ends the run with the unit ideal.
+
+    Elements are kept as primitive integer polynomials from insertion on,
+    and `DivisorTable.s_pair` builds each S-polynomial from the table's
+    packed tails with integer cofactors, so a Fraction appears on that path
+    only where a reduction step divides inexactly; the remainder is a
+    nonzero multiple of the one of the monic S-polynomial, which has the
+    same primitive part.
     """
     budget = Budget.of(limits)
     counters = budget.counters
@@ -279,6 +280,8 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
         """Add p; True when it is a constant, so the ideal is the unit ideal."""
         p = primitive_part(p, order)
         budget.check_degree(p.total_degree())
+        counters.max_coeff_bits = max(counters.max_coeff_bits,
+                                      *(c.numerator.bit_length() for c in p.terms.values()))
         basis.append(p)
         lm.append(leading_term(p, order)[0])
         budget.check_basis(len(basis))
@@ -295,7 +298,7 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
         budget.tick()
         _, _, i, j, _ = heapq.heappop(pairs)
         counters.s_pairs += 1
-        r = table.normal_form(s_polynomial(basis[i], basis[j], order), budget)
+        r = table.s_pair(i, j, budget)
         if r.is_zero:
             counters.zero_reductions += 1
         elif insert(r):
@@ -316,16 +319,20 @@ def intersect(a: Ideal, b: Ideal, limits=None) -> Ideal:
         return _canonical(b, budget)
     if any(g.is_constant for g in b.generators):
         return _canonical(a, budget)
+    return _eliminate_new_variable(ring, lambda ext, w: (
+        [w * ext.transfer(g) for g in a.generators]
+        + [(ext.one - w) * ext.transfer(g) for g in b.generators]), budget)
+
+
+def _eliminate_new_variable(ring: PolyRing, generators, budget: Budget) -> Ideal:
+    """The elements free of w of the ideal that generators(ext, w) span in
+    `ring` extended by a new top variable w: its intersection with `ring`."""
     w = ring.fresh_auxiliary("_w")
     ext = ring.extended(w, top=True)
-    wp = ext.variable(w)
-    gens = [wp * ext.transfer(g) for g in a.generators]
-    gens += [(ext.one - wp) * ext.transfer(g) for g in b.generators]
-    order = MonomialOrder.elimination((ext.position[w],), ext.nvars())
-    gb = buchberger(gens, order, budget, ring=ext)
     wpos = ext.position[w]
-    kept = [ring.transfer(g) for g in gb.elements if wpos not in g.support_positions()]
-    return Ideal(ring, kept)
+    order = MonomialOrder.elimination((wpos,), ext.nvars())
+    gb = buchberger(generators(ext, ext.variable(w)), order, budget, ring=ext)
+    return Ideal(ring, [ring.transfer(g) for g in gb.elements if wpos not in g.support_positions()])
 
 
 def _canonical(ideal: Ideal, budget: Budget, order: MonomialOrder = GREVLEX) -> Ideal:
@@ -359,12 +366,5 @@ def saturate_principal(ideal: Ideal, g: Polynomial, limits=None) -> Ideal:
         return _canonical(ideal, budget)
     if ideal.is_zero_ideal():
         return ideal
-    w = ring.fresh_auxiliary("_w")
-    ext = ring.extended(w, top=True)
-    gens = [ext.transfer(h) for h in ideal.generators]
-    gens.append(ext.one - ext.variable(w) * ext.transfer(g))
-    order = MonomialOrder.elimination((ext.position[w],), ext.nvars())
-    gb = buchberger(gens, order, budget, ring=ext)
-    wpos = ext.position[w]
-    kept = [ring.transfer(h) for h in gb.elements if wpos not in h.support_positions()]
-    return Ideal(ring, kept)
+    return _eliminate_new_variable(ring, lambda ext, w: (
+        [ext.transfer(h) for h in ideal.generators] + [ext.one - w * ext.transfer(g)]), budget)

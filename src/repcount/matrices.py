@@ -36,9 +36,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int) -> Any:
-        return self.rows[i][j]
-
     def __getitem__(self, ij) -> Any:
         i, j = ij
         return self.rows[i][j]

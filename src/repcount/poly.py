@@ -1,24 +1,43 @@
 """Exact sparse multivariate polynomials over Q.
 
-Coefficients are `fractions.Fraction` throughout, so every computation in the
-package is exact.  A polynomial lives in a fixed `PolyRing`, which pins down
-the tuple of variables and their ranking; monomials are stored as exponent
-tuples against that ranking (the term map itself is sparse).  Monomial orders
-(lex, graded reverse lex, and block elimination orders) are small objects that
-turn an exponent tuple into a sortable key.
+A polynomial lives in a fixed `PolyRing`, which pins down the tuple of
+variables and their ranking; it is a sparse map from exponent tuples
+(against that ranking) to `fractions.Fraction` coefficients, so every
+computation in the package is exact.  Monomial orders (lex, graded reverse
+lex, and block elimination orders) are small objects that turn an exponent
+tuple into a sortable key.
+
+The reduction kernel, `DivisorTable`, works on another representation.  A
+monomial there is two ints: its order key, the order's weight rows read as
+the digits of one integer, so int comparison is the monomial order and the
+key of a product is the sum of the keys; and its packed exponents, one
+16-bit field per variable with a guard bit on top, so a divisibility test is
+one subtraction and one mask.  Coefficients are ints wherever they are
+integral.  Only remainder terms go back to tuples and Fractions.
 """
 
 from __future__ import annotations
 
-import heapq
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Exponents = tuple  # one exponent per ring variable, position 0 = highest ranked
 Scalar = Union[int, Fraction]
+
+
+class ResourceLimitExceeded(Exception):
+    """A computation hit a configured budget; the run is inconclusive."""
+
+    def __init__(self, kind: str, detail: str = ""):
+        self.kind = kind
+        self.detail = detail
+        super().__init__("%s limit exceeded%s" % (kind, (": " + detail) if detail else ""))
 
 
 @dataclass(frozen=True)
@@ -86,17 +105,6 @@ class PolyRing:
         mono = tuple(1 if p == self.position[v] else 0 for p in range(self.nvars()))
         return Polynomial._raw(self, {mono: Fraction(1)})
 
-    def monomial(self, exponents: Mapping[VariableId, int], coeff: Scalar = 1) -> "Polynomial":
-        expo = [0] * self.nvars()
-        for v, e in exponents.items():
-            if e < 0:
-                raise ValueError("negative exponent")
-            expo[self.position[v]] = e
-        c = Fraction(coeff)
-        if c == 0:
-            return self.zero
-        return Polynomial._raw(self, {tuple(expo): c})
-
     def fresh_auxiliary(self, tag: str) -> VariableId:
         used = {v.key[1] for v in self.variables if v.kind == "aux" and v.key[0] == tag}
         index = 0
@@ -147,10 +155,6 @@ class PolyRing:
 
     def __repr__(self) -> str:
         return "PolyRing(%s)" % ", ".join(v.label for v in self.variables)
-
-
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
 
 
 class Polynomial:
@@ -210,9 +214,6 @@ class Polynomial:
                 if e:
                     out.add(p)
         return out
-
-    def coefficient(self, mono: Exponents) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -347,29 +348,24 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
         vs = self.ring.variables
-        chunks = []
-        for mono, c in self.sorted_terms():
-            factors = []
-            for p, e in enumerate(mono):
-                if e == 1:
-                    factors.append(vs[p].label)
-                elif e > 1:
-                    factors.append("%s^%d" % (vs[p].label, e))
-            body = "*".join(factors)
-            if not body:
-                text = _format_coeff(abs(c))
-            elif abs(c) == 1:
-                text = body
-            else:
-                text = "%s*%s" % (_format_coeff(abs(c)), body)
-            if not chunks:
-                chunks.append(text if c > 0 else "-" + text)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + text)
-        return " ".join(chunks)
+        return signed_sum((c, "*".join(vs[p].label if e == 1 else "%s^%d" % (vs[p].label, e)
+                                       for p, e in enumerate(mono) if e))
+                          for mono, c in self.sorted_terms())
+
+
+def signed_sum(terms: Iterable[tuple]) -> str:
+    """"c*body + c*body - ..." for (coefficient, body) pairs, or "0": an
+    empty body stands for 1, and a coefficient of magnitude 1 is left out."""
+    chunks = []
+    for c, body in terms:
+        text = str(abs(c)) if not body else body if abs(c) == 1 else "%s*%s" % (abs(c), body)
+        if chunks:
+            text = ("- " if c < 0 else "+ ") + text
+        elif c < 0:
+            text = "-" + text
+        chunks.append(text)
+    return " ".join(chunks) or "0"
 
 
 # -- monomial orders --------------------------------------------------------
@@ -383,6 +379,10 @@ def _lex_key(mono: Exponents) -> tuple:
     return mono
 
 
+def _flat(key) -> list:
+    return [x for part in key for x in (_flat(part) if type(part) is tuple else (part,))]
+
+
 class MonomialOrder:
     """Total order on exponent tuples, exposed as a sort-key function.
 
@@ -393,7 +393,7 @@ class MonomialOrder:
     the dropped variables rank above every retained one).
     """
 
-    __slots__ = ("scheme", "dropped", "retained", "_inner", "_cache")
+    __slots__ = ("scheme", "dropped", "retained", "_inner", "_cache", "_packings")
 
     def __init__(self, scheme: str, dropped: Sequence[int] = (), nvars: int | None = None,
                  inner: str = "grevlex"):
@@ -412,6 +412,7 @@ class MonomialOrder:
             self.retained = ()
             self._inner = _grevlex_key if scheme == "grevlex" else _lex_key
         self._cache: dict = {}
+        self._packings: dict = {}  # nvars -> _Packing
 
     @staticmethod
     def lex() -> "MonomialOrder":
@@ -435,6 +436,17 @@ class MonomialOrder:
                 k = self._inner(mono)
             self._cache[mono] = k
         return k
+
+    def packing(self, nvars: int) -> "_Packing":
+        """The kernel's int form of this order on nvars variables.  Every
+        key is linear in the exponents, so its entries on the unit
+        monomials are the columns of the order's weight rows."""
+        packing = self._packings.get(nvars)
+        if packing is None:
+            units = [tuple(int(p == q) for q in range(nvars)) for p in range(nvars)]
+            packing = _Packing([_flat(self.key(u)) for u in units])
+            self._packings[nvars] = packing
+        return packing
 
     def __repr__(self) -> str:
         if self.scheme == "block":
@@ -484,31 +496,88 @@ def _int_if_integral(c: Fraction):
     return c.numerator if c.denominator == 1 else c
 
 
+MAX_EXPONENT = (1 << 15) - 1  # the largest exponent a packed field holds
+
+
+class _Packing:
+    """An order's monomials on nvars variables as two ints each.
+
+    `key(m)` is minus the weight rows' values on m read as the signed
+    base-2^W digits of one int, the first row most significant.  2^W exceeds
+    every row value of a monomial with exponents up to 2 * MAX_EXPONENT, so
+    on those monomials distinct keys mean distinct monomials, the smaller
+    key belongs to the larger monomial, and key(a * b) = key(a) + key(b).
+    `pack(m)` puts exponent p into bits 16p .. 16p + 14 (native unsigned
+    shorts) and rejects exponents past MAX_EXPONENT, so bit 16p + 15, the
+    guard bit, is clear.  Then a divides b exactly when (pack(b) - pack(a))
+    & guard is 0, the difference being the packed quotient, and a sum of
+    packed monomials sets a guard bit where an exponent passes MAX_EXPONENT.
+    """
+
+    __slots__ = ("weights", "guard", "nbytes")
+
+    def __init__(self, columns: Sequence[list]):
+        nvars = len(columns)  # a column holds the rows' entries on one variable
+        digit = (2 * MAX_EXPONENT * max(nvars, 1)).bit_length()
+        self.weights = tuple(-sum(x << digit * r for r, x in enumerate(reversed(column)))
+                             for column in columns)
+        self.guard = int.from_bytes(array("H", [MAX_EXPONENT + 1] * nvars).tobytes(),
+                                    sys.byteorder)
+        self.nbytes = 2 * nvars
+
+    def key(self, mono: Exponents) -> int:
+        return sum(map(mul, mono, self.weights))
+
+    def pack(self, mono: Exponents) -> int:
+        try:
+            packed = int.from_bytes(array("H", mono).tobytes(), sys.byteorder)
+        except OverflowError:  # past 2^16 - 1
+            packed = self.guard
+        return self.check(packed)
+
+    def check(self, packed: int) -> int:
+        if packed & self.guard:
+            raise ResourceLimitExceeded("degree", "an exponent is past the packed limit %d"
+                                        % MAX_EXPONENT)
+        return packed
+
+    def unpack(self, packed: int) -> Exponents:
+        return tuple(memoryview(packed.to_bytes(self.nbytes, sys.byteorder)).cast("H"))
+
+
 class DivisorTable:
     """Preprocessed divisor list for repeated normal-form computations.
 
     Divisors keep their given order; reduction always rewrites the largest
     pending term against the first divisor whose leading monomial divides it,
     which makes the result deterministic for a fixed divisor sequence.  The
-    table grows with `add`, so one table can follow a basis as it is built.
+    table grows with `add`, so one table can follow a basis as it is built,
+    and `s_pair` reduces the S-polynomial of two of its divisors.
 
-    Integral coefficients are stored as ints, and `normal_form` works on
-    ints wherever the leading coefficient divides the term it cancels;
-    Fractions appear only where a division is inexact.  The result is
-    exactly the Fraction computation's, converted back to Fractions.
+    Monomials are the order's `_Packing` ints.  Pending terms sit in a dict
+    keyed by the negated order key and in a heap of those keys; a tail term
+    of a step costs two int additions and one dict lookup, and the divisor
+    scan one subtraction and one mask per divisor.  Exponents are exact up
+    to MAX_EXPONENT; a term past it raises ResourceLimitExceeded("degree")
+    when it is read or taken off the heap, never a wrong remainder.
+    Integral coefficients are ints, and the reduction stays on ints wherever
+    the leading coefficient divides the term it cancels; Fractions appear
+    only where a division is inexact.  The result is exactly the Fraction
+    computation's, in Fractions.
 
-    Given a budget, `normal_form` ticks it once per reduction step, and once
-    per term on a step with a Fraction multiplier, since Fraction arithmetic
-    on large coefficients can make one step take seconds; the steps are
-    added to `budget.counters`.
+    Given a budget, the reduction ticks it once per step, and once per term
+    on a step with a Fraction multiplier, since Fraction arithmetic on large
+    coefficients can make one step take seconds; the steps are added to
+    `budget.counters`.
     """
 
-    __slots__ = ("order", "entries", "min_degree")
+    __slots__ = ("order", "entries", "ring", "packing")
 
     def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder):
         self.order = order
-        self.entries: list = []
-        self.min_degree = 0
+        self.entries: list = []  # (packed lm, lm key, lc, [(key, packed, c) of the tail])
+        self.ring = None
+        self.packing = None
         for g in divisors:
             self.add(g)
 
@@ -516,81 +585,105 @@ class DivisorTable:
         """Append g (ignored when zero) as the last divisor."""
         if g.is_zero:
             return
-        lm, lc = leading_term(g, self.order)
-        tail = [(m, _int_if_integral(c)) for m, c in g.terms.items() if m != lm]
-        deg = sum(lm)
-        if not self.entries or deg < self.min_degree:
-            self.min_degree = deg
-        self.entries.append((lm, _int_if_integral(lc), tail, deg))
+        if self.packing is None:
+            self.ring = g.ring
+            self.packing = self.order.packing(g.ring.nvars())
+        key, pack = self.packing.key, self.packing.pack
+        tail = [(key(m), pack(m), _int_if_integral(c)) for m, c in g.terms.items()]
+        lead = min(tail)  # keys are distinct, and the smallest is the largest monomial
+        tail.remove(lead)
+        self.entries.append((lead[1], lead[0], lead[2], tail))
 
     def normal_form(self, f: Polynomial, budget=None) -> Polynomial:
         if f.is_zero or not self.entries:
             return f
-        key = self.order.key
-        coeff = {m: _int_if_integral(c) for m, c in f.terms.items()}
-        heap = [_NegKey(key(m), m) for m in coeff]
-        heapq.heapify(heap)
+        key, pack = self.packing.key, self.packing.pack
+        return self._reduce([(key(m), pack(m), _int_if_integral(c)) for m, c in f.terms.items()],
+                            f.ring, budget)
+
+    def s_pair(self, i: int, j: int, budget=None) -> Polynomial:
+        """The normal form of a nonzero multiple of the S-polynomial of
+        divisors i and j: (lc_j/g) u g_i - (lc_i/g) v g_j, where u g_i and
+        v g_j have the lcm of the leading monomials as leading monomial and
+        g = gcd(lc_i, lc_j) for int leading coefficients (g = 1 otherwise).
+        It is built from the stored tails, so integral divisors give integral
+        terms."""
+        packing = self.packing
+        lp_i, lk_i, lc_i, tail_i = self.entries[i]
+        lp_j, lk_j, lc_j, tail_j = self.entries[j]
+        lcm = tuple(map(max, packing.unpack(lp_i), packing.unpack(lp_j)))
+        lcm_packed, lcm_key = packing.pack(lcm), packing.key(lcm)
+        g = gcd(lc_i, lc_j) if type(lc_i) is int and type(lc_j) is int else 1
+        terms = []
+        for tail, lp, lk, scale in ((tail_i, lp_i, lk_i, _int_if_integral(Fraction(lc_j, g))),
+                                    (tail_j, lp_j, lk_j, _int_if_integral(Fraction(-lc_i, g)))):
+            shift, kshift = lcm_packed - lp, lcm_key - lk
+            terms += [(tk + kshift, tp + shift, scale * tc) for tk, tp, tc in tail]
+        return self._reduce(terms, self.ring, budget)
+
+    def _reduce(self, terms: Iterable[tuple], ring: PolyRing, budget) -> Polynomial:
+        """The remainder of the sum of the terms (negated order key, packed
+        exponents, coefficient)."""
+        coeff: dict = {}
+        expo: dict = {}
+        for k, p, c in terms:
+            acc = coeff.get(k, 0) + c
+            if acc:
+                coeff[k] = acc
+                expo[k] = p
+            else:
+                del coeff[k]
+        packing = self.packing
+        guard, entries = packing.guard, self.entries
+        heap = list(coeff)
+        heapify(heap)
         out: dict = {}
-        entries = self.entries
-        min_deg = self.min_degree
         steps = 0
         while heap:
-            m = heapq.heappop(heap).mono
-            c = coeff.pop(m, None)
+            k = heappop(heap)
+            c = coeff.pop(k, None)
             if c is None:
                 continue  # stale heap entry
             steps += 1
             if budget is not None:
                 budget.tick()
-            mdeg = sum(m)
-            hit = None
-            if mdeg >= min_deg:
-                for lm, lc, tail, deg in entries:
-                    if deg <= mdeg and all(map(le, lm, m)):  # lm divides m
-                        hit = (lm, lc, tail)
-                        break
-            if hit is None:
-                out[m] = Fraction(c) if type(c) is int else c
+            m = expo[k]
+            if m & guard:
+                packing.check(m)
+            for entry in entries:
+                shift = m - entry[0]
+                if not shift & guard:  # the leading monomial divides m
+                    break
+            else:
+                out[packing.unpack(m)] = Fraction(c) if type(c) is int else c
                 continue
-            lm, lc, tail = hit
+            _, lk, lc, tail = entry
             if lc == 1:
                 scale = c
             elif type(c) is int and type(lc) is int and not c % lc:
                 scale = c // lc
             else:
                 scale = Fraction(c) / lc
-            shift = monomial_div(m, lm)
+            kshift = k - lk
             fraction_step = budget is not None and type(scale) is not int
-            for tm, tc in tail:
+            for tk, tp, tc in tail:
                 if fraction_step:
                     budget.tick()
-                m2 = tuple(map(add, tm, shift))
-                acc = coeff.get(m2)
+                k2 = tk + kshift
+                acc = coeff.get(k2)
                 if acc is None:
-                    coeff[m2] = -scale * tc
-                    heapq.heappush(heap, _NegKey(key(m2), m2))
+                    coeff[k2] = -scale * tc
+                    expo[k2] = tp + shift
+                    heappush(heap, k2)
                 else:
                     acc = acc - scale * tc
                     if acc:
-                        coeff[m2] = acc
+                        coeff[k2] = acc
                     else:
-                        del coeff[m2]
+                        del coeff[k2]
         if budget is not None:
             budget.counters.normal_form_steps += steps
-        return Polynomial._raw(f.ring, out)
-
-
-class _NegKey:
-    """Heap wrapper: max-order key behaves min-first inside heapq."""
-
-    __slots__ = ("key", "mono")
-
-    def __init__(self, key, mono):
-        self.key = key
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.key > other.key
+        return Polynomial._raw(ring, out)
 
 
 def reduce(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder,

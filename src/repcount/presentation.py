@@ -20,9 +20,11 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .matrices import Matrix
+from .poly import signed_sum
 
 Word = tuple  # tuple of 0-based generator indices; () is the empty word
 
@@ -171,10 +173,6 @@ class FreeElement:
             return "*".join("g%d" % letter for letter in w) or "1"
 
         return " + ".join("%s*%s" % (c, word(w)) for w, c in self.sorted_terms())
-
-
-def free_multiply(a: FreeElement, b: FreeElement) -> FreeElement:
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -392,40 +390,15 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
     return Presentation(generators, tuple(relations), name)
 
 
-def _format_word(word: Word, names: Sequence[str]) -> str:
-    if not word:
-        return ""
-    parts = []
-    run_letter, run_len = word[0], 1
-    for letter in word[1:]:
-        if letter == run_letter:
-            run_len += 1
-        else:
-            parts.append((run_letter, run_len))
-            run_letter, run_len = letter, 1
-    parts.append((run_letter, run_len))
-    return "*".join(names[l] if e == 1 else "%s^%d" % (names[l], e) for l, e in parts)
+def format_word(word: Word, names: Sequence[str]) -> str:
+    """The word with its runs as powers, like x*y^2*x."""
+    runs = [(letter, len(list(group))) for letter, group in groupby(word)]
+    return "*".join(names[l] if e == 1 else "%s^%d" % (names[l], e) for l, e in runs)
 
 
 def format_element(e: FreeElement, names: Sequence[str]) -> str:
-    if e.is_zero:
-        return "0"
-    chunks = []
     # longest words first, the way relations are usually written
-    for w, c in reversed(e.sorted_terms()):
-        body = _format_word(w, names)
-        mag = abs(c)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = "%s*%s" % (mag, body)
-        if not chunks:
-            chunks.append(text if c > 0 else "-" + text)
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(chunks)
+    return signed_sum((c, format_word(w, names)) for w, c in reversed(e.sorted_terms()))
 
 
 def format_presentation(p: Presentation) -> str:

@@ -46,7 +46,8 @@ class TestDecide:
         assert lines == [
             "engine: %(s_pairs)d S-pairs reduced (%(zero_reductions)d to zero), pairs "
             "dropped: %(dropped_coprime)d coprime, %(dropped_mf)d M/F, %(dropped_b)d B; "
-            "%(normal_form_steps)d normal-form steps" % engine]
+            "%(normal_form_steps)d normal-form steps; basis coefficients up to "
+            "%(max_coeff_bits)d bits" % engine]
 
     def test_verbose_reports_power_free_words(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("qplane"), "-n", "2", "-v")
@@ -134,7 +135,7 @@ class TestJson:
         assert payload["metrics"]["gram_rank"] == 2
         assert list(payload["metrics"]["engine"]) == [
             "s_pairs", "zero_reductions", "dropped_coprime", "dropped_mf", "dropped_b",
-            "normal_form_steps"]
+            "normal_form_steps", "max_coeff_bits"]
 
     def test_engine_counters_cover_the_count_stage(self, capsys):
         # the counters live on the run's budget: the count's normal forms
@@ -306,6 +307,30 @@ class TestBudget:
         assert payload["verdict"] == "finite"
         assert payload["count"] is None
         assert err == ""
+
+    def test_count_stage_overrun_keeps_the_dumps(self, capsys, tmp_path):
+        path = tmp_path / "slow_count.alg"
+        path.write_text(SLOW_COUNT)
+        code, out, err = run_cli(capsys, "count", str(path), "-n", "1", "--max-seconds", "2",
+                                 "--max-degree", "1000", "--dump", "gb", "--dump", "algebra")
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("# locus ideal reduced basis (")
+        assert lines[-2:] == ["# trace algebra not built: count stage ran out of budget",
+                              "time limit exceeded"]
+
+    def test_count_stage_overrun_keeps_the_dumps_under_json(self, capsys, tmp_path):
+        path = tmp_path / "slow_count.alg"
+        path.write_text(SLOW_COUNT)
+        code, out, err = run_cli(capsys, "count", str(path), "-n", "1", "--json",
+                                 "--max-seconds", "2", "--max-degree", "1000",
+                                 "--dump", "algebra", "--dump", "gb")
+        assert code == 3
+        assert json.loads(out)["stage"] == "count"
+        lines = err.splitlines()
+        assert lines[0] == "# trace algebra not built: count stage ran out of budget"
+        assert lines[1].startswith("# locus ideal reduced basis (")
 
 
 A4 = """generators: a, b

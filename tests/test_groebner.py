@@ -5,6 +5,7 @@ net here: two unrelated implementations agreeing on reduced bases over QQ.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -27,12 +28,14 @@ from repcount.groebner import (
     saturate_principal,
 )
 from repcount.poly import (
+    DivisorTable,
     MonomialOrder,
     PolyRing,
     Polynomial,
     auxiliary,
     leading_term,
     make_monic,
+    primitive_part,
 )
 
 from oracles import eliminate, equal_ideals, saturate, unit_ideal
@@ -266,6 +269,28 @@ class TestAgainstSympy:
         assert set(mine.elements) == theirs_elements
 
 
+class TestSPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(),
+           st.sampled_from([GREVLEX, LEX, MonomialOrder.elimination((0,), 3),
+                            MonomialOrder.elimination((1, 2), 3, inner="lex")]))
+    def test_s_pair_is_a_multiple_of_the_reduced_s_polynomial(self, rng, primitive, order):
+        # the table builds (lc_j/g) u g_i - (lc_i/g) v g_j from its packed
+        # tails, which is lc_i lc_j / g times s_polynomial(g_i, g_j)
+        divisors = [_random_poly(R, rng, max_terms=4, coeffs=RATIONAL_COEFFS) for _ in range(4)]
+        divisors = [primitive_part(g, order) if primitive else g
+                    for g in divisors if not g.is_zero]
+        table = DivisorTable(divisors, order)
+        for i in range(len(divisors)):
+            for j in range(i + 1, len(divisors)):
+                lc_i = leading_term(divisors[i], order)[1]
+                lc_j = leading_term(divisors[j], order)[1]
+                g = (math.gcd(int(lc_i), int(lc_j))
+                     if lc_i.denominator == lc_j.denominator == 1 else 1)
+                expected = table.normal_form(s_polynomial(divisors[i], divisors[j], order))
+                assert table.s_pair(i, j) == expected * (lc_i * lc_j / g)
+
+
 class TestEngineCounters:
     def test_counters_accumulate_on_the_budget(self):
         gens = [X * Y - Z, Y * Z - X, Z * X - Y, X * X - 1]
@@ -276,9 +301,20 @@ class TestEngineCounters:
         assert 0 < c.zero_reductions < c.s_pairs
         assert c.dropped_coprime + c.dropped_mf + c.dropped_b > 0
         assert c.normal_form_steps > 0
-        once = dataclasses.astuple(c)
+        assert c.max_coeff_bits > 0
+        once = dataclasses.asdict(c)
         assert buchberger(gens, GREVLEX, budget, ring=R) == first
-        assert dataclasses.astuple(c) == tuple(2 * v for v in once)
+        # counts add up; the coefficient width is a maximum
+        assert dataclasses.asdict(c) == {k: v if k == "max_coeff_bits" else 2 * v
+                                         for k, v in once.items()}
+
+    def test_max_coeff_bits_is_the_widest_inserted_coefficient(self):
+        budget = Budget()
+        buchberger([X * 12 - Y * 5, Y - 1], GREVLEX, budget, ring=R)
+        # 12x - 5y and y - 1 are inserted as they are; the pair is coprime
+        assert budget.counters.max_coeff_bits == (12).bit_length()
+        buchberger([X * 2 - Y], GREVLEX, budget, ring=R)
+        assert budget.counters.max_coeff_bits == 4  # a maximum over the budget's runs
 
     def test_coprime_pairs_are_never_reduced(self):
         # pairwise coprime leading monomials: every pair goes by the

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repcount.groebner import Budget
+from repcount.groebner import Budget, ResourceLimitExceeded
 from repcount.poly import (
+    MAX_EXPONENT,
     DivisorTable,
     MonomialOrder,
     PolyRing,
@@ -23,6 +24,9 @@ from repcount.poly import (
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
+# elimination orders on the three variables of R3, with both inner schemes
+BLOCK_GREVLEX = MonomialOrder.elimination((1,), 3)
+BLOCK_LEX = MonomialOrder.elimination((0, 2), 3, inner="lex")
 
 
 def small_ring(k=3):
@@ -286,14 +290,13 @@ class TestDivisorTable:
             grown.add(g)
         at_once = DivisorTable(divisors, order)
         assert grown.entries == at_once.entries
-        assert grown.min_degree == at_once.min_degree
         assert grown.normal_form(f) == at_once.normal_form(f)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(poly_strategy(R3, max_terms=4, max_exp=2, coeffs=MIXED_COEFF),
                     min_size=1, max_size=4),
            poly_strategy(R3, max_terms=6, max_exp=4, coeffs=MIXED_COEFF),
-           st.booleans(), st.sampled_from([GREVLEX, LEX]))
+           st.booleans(), st.sampled_from([GREVLEX, LEX, BLOCK_GREVLEX, BLOCK_LEX]))
     def test_normal_form_matches_fraction_reference(self, divisors, f, primitive, order):
         if primitive:  # integral divisors with leading coefficients other than 1
             divisors = [primitive_part(g, order) for g in divisors]
@@ -313,3 +316,77 @@ class TestDivisorTable:
         DivisorTable([X - 1], GREVLEX).normal_form(X ** 3 + Y, budget)
         # x^3, x^2, x, y and 1: five terms taken off the heap
         assert budget.counters.normal_form_steps == 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_order_serves_rings_of_every_size(self, data):
+        # the packing is cached on the order per variable count; interleaving
+        # ring sizes on one order object must not mix them up
+        order = MonomialOrder.grevlex()
+        for k in data.draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=2, max_size=5)):
+            ring = small_ring(k)
+            divisors = data.draw(st.lists(poly_strategy(ring, max_terms=3, max_exp=2,
+                                                        coeffs=MIXED_COEFF), max_size=3))
+            f = data.draw(poly_strategy(ring, max_terms=5, max_exp=3, coeffs=MIXED_COEFF))
+            r = DivisorTable(divisors, order).normal_form(f)
+            assert r == fraction_normal_form(f, divisors, order)
+
+
+R2 = small_ring(2)
+U2, V2 = (R2.variable(v) for v in R2.variables)
+
+
+class TestExponentLimit:
+    """Packed exponents are exact up to MAX_EXPONENT; past it a reduction
+    raises instead of returning a remainder."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2 * MAX_EXPONENT)] * 3), min_size=2, max_size=2),
+           st.sampled_from([GREVLEX, LEX, BLOCK_GREVLEX, BLOCK_LEX]))
+    @example([(0, 0, 40001), (40000, 0, 0)], GREVLEX)
+    def test_keys_are_the_order_on_sums_of_two_packable_monomials(self, monos, order):
+        # a reduction step forms terms up to twice the limit before the
+        # check on the heap, so their int keys must still be exact
+        a, b = monos
+        key = order.packing(3).key
+        assert (key(a) < key(b)) == (order.key(a) > order.key(b))
+        assert (key(a) == key(b)) == (a == b)
+
+    @pytest.mark.parametrize("order", [LEX, MonomialOrder.elimination((0,), 2),
+                                       MonomialOrder.elimination((0,), 2, inner="lex")])
+    def test_reduction_up_to_the_limit_is_exact(self, order):
+        u, v = U2, V2
+        # u^2 v^767 -> u v^16767 -> v^32767 = v^MAX_EXPONENT
+        table = DivisorTable([u - v ** 16000], order)
+        assert table.normal_form(u * u * v ** 767 + u) == v ** MAX_EXPONENT + v ** 16000
+        assert table.normal_form(v ** MAX_EXPONENT) == v ** MAX_EXPONENT
+
+    @pytest.mark.parametrize("order", [LEX, MonomialOrder.elimination((0,), 2)])
+    def test_reduction_past_the_limit_raises(self, order):
+        u, v = U2, V2
+        table = DivisorTable([u - v ** 16000], order)
+        with pytest.raises(ResourceLimitExceeded) as info:
+            table.normal_form(u * u * v ** 768)  # would reach v^32768
+        assert info.value.kind == "degree"
+        # here the first step forms v^35000, which raises when it is taken off the heap
+        with pytest.raises(ResourceLimitExceeded):
+            DivisorTable([u - v ** 30000], order).normal_form(u * v ** 5000)
+
+    def test_inputs_past_the_limit_raise(self):
+        u, v = U2, V2
+        table = DivisorTable([u - 1], LEX)
+        for f in (v ** (MAX_EXPONENT + 1), v ** 70000):
+            with pytest.raises(ResourceLimitExceeded):
+                table.normal_form(f)
+        with pytest.raises(ResourceLimitExceeded):
+            table.add(u ** (MAX_EXPONENT + 1) - v)
+        assert table.normal_form(v ** MAX_EXPONENT + u) == v ** MAX_EXPONENT + 1
+
+    def test_term_past_the_limit_that_cancels_is_never_read(self):
+        # lex u > w > v: u v^15000 and w v^15000 both rewrite to v^35000, with
+        # opposite signs, so the term past the limit cancels before it is
+        # taken off the heap and the remainder stays exact
+        ring = small_ring(3)
+        u, w, v = (ring.variable(x) for x in ring.variables)
+        table = DivisorTable([u - v ** 20000, w - v ** 20000], LEX)
+        assert table.normal_form((u - w) * v ** 15000).is_zero
