@@ -54,7 +54,6 @@ from .groebner import (
     buchberger,
     ideal_quotient,
     intersect,
-    s_polynomial,
     saturate_principal,
 )
 from .matrices import Matrix, trace_of_product

@@ -191,7 +191,8 @@ def _dump_algebra(run: PipelineRun, report: CountReport | None, err,
     if report is not None:
         algebra = report.algebra
     else:
-        algebra = build_quotient_algebra(run.locus_basis, run.generators, run.budget)
+        with run.budget.stage("count"):
+            algebra = build_quotient_algebra(run.locus_basis, run.generators, run.budget)
     print("# trace algebra basis (dimension %d)" % algebra.dimension, file=err)
     for b in algebra.basis:
         print(b, file=err)
@@ -215,11 +216,13 @@ def _verbose_decide(run: PipelineRun) -> None:
     if m.locus_gb_size is not None:
         print("locus basis: %d elements (max degree %s)"
               % (m.locus_gb_size, m.locus_gb_max_degree))
-    e = m.engine
-    print("engine: %d S-pairs reduced (%d to zero), pairs dropped: %d coprime, %d M/F, "
-          "%d B; %d normal-form steps; basis coefficients up to %d bits"
-          % (e.s_pairs, e.zero_reductions, e.dropped_coprime, e.dropped_mf, e.dropped_b,
-             e.normal_form_steps, e.max_coeff_bits))
+    engines = [("engine", m.engine)]
+    engines += [("engine[%s]" % stage, e) for stage, e in m.engine_by_stage.items()]
+    for label, e in engines:
+        print("%s: %d S-pairs reduced (%d to zero), pairs dropped: %d coprime, %d M/F, "
+              "%d B; %d normal-form steps; basis coefficients up to %d bits"
+              % (label, e.s_pairs, e.zero_reductions, e.dropped_coprime, e.dropped_mf,
+                 e.dropped_b, e.normal_form_steps, e.max_coeff_bits))
     for word, mp in verdict.minimal_polynomials.items():
         print("tr(%s): %s" % (word, mp.render()))
     for stage, seconds in sorted(m.timings.items()):

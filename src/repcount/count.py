@@ -190,8 +190,9 @@ def count_from_run(run: PipelineRun, limits=None) -> CountReport:
     if verdict.outcome is Outcome.INCONCLUSIVE or run.locus_basis is None:
         raise ResourceLimitExceeded(
             "time", verdict.inconclusive_reason or "decision did not complete")
-    report = count_classes(run.locus_basis, run.generators,
-                           run.budget if limits is None else limits)
+    budget = run.budget if limits is None else Budget.of(limits)
+    with budget.stage("count"):
+        report = count_classes(run.locus_basis, run.generators, budget)
     verdict.metrics.algebra_dimension = report.algebra_dimension
     verdict.metrics.gram_rank = report.rank
     return report

@@ -19,6 +19,7 @@ whichever set is smaller.  None of this changes the saturated ideal.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -144,6 +145,7 @@ class PipelineMetrics:
     algebra_dimension: int | None = None
     gram_rank: int | None = None
     engine: EngineCounters = field(default_factory=EngineCounters)  # the run budget's
+    engine_by_stage: dict = field(default_factory=dict)  # stage -> EngineCounters
     timings: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -163,24 +165,22 @@ class Verdict:
 
 
 class _Stopwatch:
-    def __init__(self):
+    """Times the stages and counts their engine work on the budget."""
+
+    def __init__(self, budget: Budget):
         self.timings: dict = {}
         self.current: str | None = None  # the last stage entered
+        self.budget = budget
 
+    @contextmanager
     def stage(self, name: str):
-        watch = self
-
-        class _Ctx:
-            def __enter__(self):
-                watch.current = name
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                watch.timings[name] = watch.timings.get(name, 0.0) + time.perf_counter() - self.t0
-                return False
-
-        return _Ctx()
+        self.current = name
+        t0 = time.perf_counter()
+        try:
+            with self.budget.stage(name):
+                yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
 
 
 # -- minimal polynomials ----------------------------------------------------
@@ -364,8 +364,9 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
     p = decision_input.presentation
     budget = Budget(opts.limits)
     order = base_order(opts.order)
-    clock = _Stopwatch()
-    metrics = PipelineMetrics(n=n, s=p.num_generators, engine=budget.counters)
+    clock = _Stopwatch(budget)
+    metrics = PipelineMetrics(n=n, s=p.num_generators, engine=budget.counters,
+                              engine_by_stage=budget.stages)
 
     space = build_generic_space(n, p.num_generators)
     metrics.variables = space.ring.nvars()

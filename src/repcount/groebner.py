@@ -7,20 +7,26 @@ all phrased in terms of it.  Resource limits (wall clock, degree cap, basis
 size cap) raise `ResourceLimitExceeded`, a distinct failure mode meaning
 "ran out of budget", never "wrong answer".
 
-`buchberger` keeps one divisor table for the whole run, reduces every
-S-pair inside it on packed monomials and integer coefficients, prunes pairs
-with the Gebauer-Moeller update (Gebauer and Moeller, J. Symbolic Comput. 6
-(1988); the UPDATE procedure of Becker and Weispfenning, "Groebner Bases",
-1993) and tail-reduces the final basis in one pass.  Each `Budget` counts
-the work it has paid for in `EngineCounters`.
+`buchberger` keeps the basis it builds as the packed entries of one divisor
+table for the whole run: it reduces every S-pair inside it on packed
+monomials and integer coefficients, prunes pairs with the Gebauer-Moeller
+update on the packed leading monomials (Gebauer and Moeller, J. Symbolic
+Comput. 6 (1988); the UPDATE procedure of Becker and Weispfenning, "Groebner
+Bases", 1993), and tail-reduces the final basis in one pass into the table
+the returned basis keeps.  Each `Budget` counts the work it has paid for in
+`EngineCounters`, in total and per pipeline stage.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import time
-from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_right
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, fields
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -30,13 +36,8 @@ from .poly import (
     PolyRing,
     Polynomial,
     ResourceLimitExceeded,
+    _int_if_integral,
     exact_divide,
-    leading_term,
-    make_monic,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    primitive_part,
 )
 # unused here, but bench/tracing.py wraps `poly.reduce` in every module that
 # binds it, and its self-test checks this binding
@@ -75,7 +76,7 @@ class Budget:
     """Deadline-based view of ResourceLimits, shared across pipeline stages,
     and the engine counters of the work done under it."""
 
-    __slots__ = ("deadline", "max_degree", "max_basis", "counters")
+    __slots__ = ("deadline", "max_degree", "max_basis", "counters", "stages")
 
     def __init__(self, limits: ResourceLimits | None = None):
         limits = limits or ResourceLimits()
@@ -83,6 +84,24 @@ class Budget:
         self.max_degree = limits.max_degree
         self.max_basis = limits.max_basis
         self.counters = EngineCounters()
+        self.stages: dict = {}  # stage name -> EngineCounters of the work done in it
+
+    @contextmanager
+    def stage(self, name: str):
+        """Count the work done in the block in `stages[name]` as well, so the
+        stages add up to `counters`; max_coeff_bits is the stage's own."""
+        counters = self.counters
+        widest, counters.max_coeff_bits = counters.max_coeff_bits, 0
+        before = astuple(counters)
+        try:
+            yield
+        finally:
+            spent = self.stages.setdefault(name, EngineCounters())
+            for f, then in zip(fields(counters), before):
+                now, sofar = getattr(counters, f.name), getattr(spent, f.name)
+                setattr(spent, f.name,
+                        max(sofar, now) if f.name == "max_coeff_bits" else sofar + now - then)
+            counters.max_coeff_bits = max(widest, counters.max_coeff_bits)
 
     @staticmethod
     def of(limits) -> "Budget":
@@ -130,19 +149,15 @@ class Ideal:
 class GroebnerBasis:
     """A reduced Groebner basis: monic, tail-reduced, sorted by leading term."""
 
-    __slots__ = ("ring", "order", "elements", "_table")
+    __slots__ = ("ring", "order", "elements", "table")
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, elements: Sequence[Polynomial]):
+    def __init__(self, ring: PolyRing, order: MonomialOrder, elements: Sequence[Polynomial],
+                 table: DivisorTable | None = None):
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        self._table = None
-
-    @property
-    def table(self) -> DivisorTable:
-        if self._table is None:
-            self._table = DivisorTable(self.elements, self.order)
-        return self._table
+        # the divisor table of exactly these elements, in this order
+        self.table = DivisorTable(self.elements, order, ring) if table is None else table
 
     @property
     def is_unit(self) -> bool:
@@ -178,33 +193,26 @@ class GroebnerBasis:
         return "GroebnerBasis[%s]" % ", ".join(repr(g) for g in self.elements)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g, with lcm of the leading monomials."""
-    lmf, lcf = leading_term(f, order)
-    lmg, lcg = leading_term(g, order)
-    lcm = monomial_lcm(lmf, lmg)
-    left = f.scale_shift(1 / lcf, monomial_div(lcm, lmf))
-    right = g.scale_shift(1 / lcg, monomial_div(lcm, lmg))
-    return left - right
-
-
-def _interreduce(elements: list, order: MonomialOrder, budget: Budget) -> list:
+def _interreduce(table: DivisorTable, minimal: list, budget: Budget) -> GroebnerBasis:
     """The reduced basis, sorted, from a minimal one (no leading monomial
-    divides another).
+    divides another): the entries of `table` at the indices `minimal`.
 
     One pass in ascending order of leading monomials: each element is
     reduced against the smaller ones, already reduced.  That is enough, since
     every tail term lies below its own leading monomial, so no larger
-    leading monomial divides it.
+    leading monomial divides it.  The table of the reduced elements becomes
+    the basis's table.
     """
-    table = DivisorTable((), order)
-    reduced = []
-    for g in sorted(elements, key=lambda g: order.key(leading_term(g, order)[0])):
+    reduced = DivisorTable((), table.order, table.ring)
+    elements = []
+    for lp, lk, lc, tail in sorted((table.entries[i] for i in minimal), key=lambda e: -e[1]):
         budget.tick()
-        r = make_monic(table.normal_form(g, budget), order)
-        table.add(r)
-        reduced.append(r)
-    return reduced
+        r = reduced.remainder([(lk, lp, lc)] + tail, budget)
+        lc = min(r)[2]
+        monic = [(k, p, _int_if_integral(Fraction(c) / lc)) for k, p, c in r]
+        reduced.append(monic)
+        elements.append(reduced.polynomial(monic))
+    return GroebnerBasis(table.ring, table.order, elements, reduced)
 
 
 def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -212,21 +220,19 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
                ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, unique for the given order.
 
-    Pair selection follows the normal strategy (smallest lcm degree first).
-    Every new element is reduced against one divisor table holding all
-    earlier ones and updates the pair set by Gebauer-Moeller: pairs are
-    formed only with the elements no later leading monomial divides, new
-    pairs with coprime leading monomials or with an lcm that is a multiple
-    of another new pair's are dropped, and so are the old pairs whose lcm
-    the new leading monomial divides strictly (the counts are kept in
-    `budget.counters`).  A constant element ends the run with the unit ideal.
+    Pair selection follows the normal strategy (smallest lcm degree first,
+    then smallest lcm).  The basis is built as the entries of one divisor table, on packed
+    monomials: each new element is reduced against all earlier ones there
+    and updates the pair set by Gebauer-Moeller (`update`).  A constant
+    element ends the run with the unit ideal.
 
-    Elements are kept as primitive integer polynomials from insertion on,
-    and `DivisorTable.s_pair` builds each S-polynomial from the table's
-    packed tails with integer cofactors, so a Fraction appears on that path
-    only where a reduction step divides inexactly; the remainder is a
-    nonzero multiple of the one of the monic S-polynomial, which has the
-    same primitive part.
+    Elements are kept as primitive integer polynomials from insertion on.
+    `DivisorTable.s_pair` builds each S-polynomial from the table's packed
+    tails with integer cofactors and hands back its remainder as packed
+    terms, so a Fraction appears on that path only where a reduction step
+    divides inexactly; the remainder is a nonzero multiple of the one of the
+    monic S-polynomial, which has the same primitive part.  Polynomials are
+    built only for the reduced basis.
     """
     budget = Budget.of(limits)
     counters = budget.counters
@@ -242,69 +248,86 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
     if not gens:
         return GroebnerBasis(ring, order, ())
 
-    basis: list[Polynomial] = []
-    lm: list = []
-    table = DivisorTable((), order)
+    table = DivisorTable((), order, ring)
+    packing = table.packing
+    guard, lcm = packing.guard, packing.lcm
+    entries = table.entries  # the basis: (packed lm, lm key, lc, tail)
+    supports = []  # packing.support of each leading monomial
     active: list = []  # indices of elements no later leading monomial divides
-    pairs: list = []  # heap of (lcm degree, lcm key, i, j, lcm)
+    pairs: list = []  # heap of (lcm degree, -lcm key, i, j, packed lcm)
 
     def update(k: int) -> None:
-        mk = lm[k]
-        # (i, lcm, coprime): min is positive where both monomials have the variable
-        new = [(i, monomial_lcm(lm[i], mk), not any(map(min, lm[i], mk))) for i in active]
-        kept = []  # Becker-Weispfenning's D
-        for index, (i, lcm, coprime) in enumerate(new):
-            if coprime or not any(monomial_divides(other[1], lcm)
-                                  for other in chain(new[index + 1:], kept)):
-                kept.append((i, lcm, coprime))
-            else:
-                counters.dropped_mf += 1
-        old = []
-        for pair in pairs:
-            _, _, i, j, lcm = pair
-            if (monomial_divides(mk, lcm) and monomial_lcm(lm[i], mk) != lcm
-                    and monomial_lcm(lm[j], mk) != lcm):
-                counters.dropped_b += 1
-            else:
-                old.append(pair)
-        for i, lcm, coprime in kept:
+        """Gebauer-Moeller: pair k with the active elements and prune the
+        pairs, counting the drops in `counters`."""
+        mk, sk = entries[k][0], supports[k]
+        new = [(i, lcm(entries[i][0], mk), not supports[i] & sk) for i in active]
+        # M/F: a non-coprime pair goes when the lcm of a later new pair or of a
+        # kept earlier one divides its lcm.  Packed divisors are no larger as
+        # ints, so a prefix of the lcms sorted by value is scanned, where the
+        # pair itself and the dropped ones read `guard`, which divides none.
+        by_value = sorted(range(len(new)), key=lambda index: new[index][1])
+        live = [new[index][1] for index in by_value]
+        values = list(live)  # live is sorted, and changes below
+        slot = dict(zip(by_value, range(len(new))))
+        kept = []  # Becker-Weispfenning's D, less the coprime pairs
+        for index, (i, m, coprime) in enumerate(new):
             if coprime:
                 counters.dropped_coprime += 1
+                continue
+            live[slot[index]] = guard
+            for other in islice(live, bisect_right(values, m)):
+                if not (m - other) & guard:
+                    counters.dropped_mf += 1
+                    break
             else:
-                old.append((sum(lcm), order.key(lcm), i, k, lcm))
-        heapq.heapify(old)
-        pairs[:] = old
-        active[:] = [i for i in active if not monomial_divides(mk, lm[i])] + [k]
+                live[slot[index]] = m
+                kept.append((i, m))
+        gone = {id(pair) for pair in pairs if not (pair[4] - mk) & guard
+                and lcm(entries[pair[2]][0], mk) != pair[4]
+                and lcm(entries[pair[3]][0], mk) != pair[4]}
+        if gone:
+            counters.dropped_b += len(gone)
+            pairs[:] = [pair for pair in pairs if id(pair) not in gone]
+            heapify(pairs)
+        for i, m in kept:
+            exponents = packing.unpack(m)
+            heappush(pairs, (sum(exponents), -packing.key(exponents), i, k, m))
+        active[:] = [i for i in active if not packing.divides(mk, entries[i][0])] + [k]
 
-    def insert(p: Polynomial) -> bool:
-        """Add p; True when it is a constant, so the ideal is the unit ideal."""
-        p = primitive_part(p, order)
-        budget.check_degree(p.total_degree())
+    def insert(terms: list) -> bool:
+        """Add the primitive part of the remainder; True when it is a constant,
+        so the ideal is the unit ideal.  A Fraction among its coefficients may
+        be integral, so they go by numerator and denominator, as ints do too."""
+        denom = math.lcm(*(c.denominator for _, _, c in terms))
+        terms = [(k, p, c.numerator * (denom // c.denominator)) for k, p, c in terms]
+        lead = min(terms)
+        g = math.gcd(*(c for _, _, c in terms)) * (1 if lead[2] > 0 else -1)
+        terms = [(k, p, c // g) for k, p, c in terms]
+        budget.check_degree(max(sum(packing.unpack(p)) for _, p, _ in terms))
         counters.max_coeff_bits = max(counters.max_coeff_bits,
-                                      *(c.numerator.bit_length() for c in p.terms.values()))
-        basis.append(p)
-        lm.append(leading_term(p, order)[0])
-        budget.check_basis(len(basis))
-        table.add(p)
-        update(len(basis) - 1)
-        return p.is_constant
+                                      *(c.bit_length() for _, _, c in terms))
+        budget.check_basis(len(entries) + 1)
+        table.append(terms)
+        supports.append(packing.support(lead[1]))
+        update(len(entries) - 1)
+        return lead[1] == 0
 
     for g in sorted(gens, key=lambda g: (g.total_degree(), len(g.terms))):
-        r = table.normal_form(g, budget)
-        if not r.is_zero and insert(r):
+        r = table.remainder(table.pack(g), budget)
+        if r and insert(r):
             return GroebnerBasis(ring, order, (ring.one,))
 
     while pairs:
         budget.tick()
-        _, _, i, j, _ = heapq.heappop(pairs)
+        _, _, i, j, _ = heappop(pairs)
         counters.s_pairs += 1
         r = table.s_pair(i, j, budget)
-        if r.is_zero:
+        if not r:
             counters.zero_reductions += 1
         elif insert(r):
             return GroebnerBasis(ring, order, (ring.one,))
 
-    return GroebnerBasis(ring, order, _interreduce([basis[i] for i in active], order, budget))
+    return _interreduce(table, active, budget)
 
 
 def intersect(a: Ideal, b: Ideal, limits=None) -> Ideal:

@@ -13,7 +13,8 @@ the digits of one integer, so int comparison is the monomial order and the
 key of a product is the sum of the keys; and its packed exponents, one
 16-bit field per variable with a guard bit on top, so a divisibility test is
 one subtraction and one mask.  Coefficients are ints wherever they are
-integral.  Only remainder terms go back to tuples and Fractions.
+integral.  Remainders come back in that form, which `buchberger` keeps its
+basis in; `DivisorTable.normal_form` turns them back into a Polynomial.
 """
 
 from __future__ import annotations
@@ -483,10 +484,6 @@ def monomial_divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
 
-def monomial_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
 def monomial_div(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(sub, a, b))
 
@@ -512,6 +509,7 @@ class _Packing:
     guard bit, is clear.  Then a divides b exactly when (pack(b) - pack(a))
     & guard is 0, the difference being the packed quotient, and a sum of
     packed monomials sets a guard bit where an exponent passes MAX_EXPONENT.
+    The lcm and the support of packed monomials take a few int operations.
     """
 
     __slots__ = ("weights", "guard", "nbytes")
@@ -544,6 +542,24 @@ class _Packing:
     def unpack(self, packed: int) -> Exponents:
         return tuple(memoryview(packed.to_bytes(self.nbytes, sys.byteorder)).cast("H"))
 
+    def lcm(self, a: int, b: int) -> int:
+        """The fieldwise maximum: the guard bit of a field of (a | guard) - b
+        survives exactly where a's exponent is at least b's, and no field
+        borrows from the next."""
+        guard = self.guard
+        sel = ((a | guard) - b) & guard
+        mask = sel - (sel >> 15)  # the 15 exponent bits of the fields where a wins
+        return (a & mask) | (b & ~mask)
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.guard
+
+    def support(self, packed: int) -> int:
+        """The guard bits of the nonzero fields: two monomials are coprime
+        when their supports share no bit."""
+        guard = self.guard
+        return ((packed | guard) - (guard >> 15)) & guard
+
 
 class DivisorTable:
     """Preprocessed divisor list for repeated normal-form computations.
@@ -551,19 +567,24 @@ class DivisorTable:
     Divisors keep their given order; reduction always rewrites the largest
     pending term against the first divisor whose leading monomial divides it,
     which makes the result deterministic for a fixed divisor sequence.  The
-    table grows with `add`, so one table can follow a basis as it is built,
-    and `s_pair` reduces the S-polynomial of two of its divisors.
+    table grows with `add` (a Polynomial) or `append` (packed terms), so one
+    table can follow a basis as it is built, and `s_pair` reduces the
+    S-polynomial of two of its divisors.
 
-    Monomials are the order's `_Packing` ints.  Pending terms sit in a dict
-    keyed by the negated order key and in a heap of those keys; a tail term
-    of a step costs two int additions and one dict lookup, and the divisor
-    scan one subtraction and one mask per divisor.  Exponents are exact up
-    to MAX_EXPONENT; a term past it raises ResourceLimitExceeded("degree")
-    when it is read or taken off the heap, never a wrong remainder.
-    Integral coefficients are ints, and the reduction stays on ints wherever
-    the leading coefficient divides the term it cancels; Fractions appear
-    only where a division is inexact.  The result is exactly the Fraction
-    computation's, in Fractions.
+    Monomials are the order's `_Packing` ints, and a term is the triple
+    (order key, packed exponents, coefficient).  `pack` turns a Polynomial
+    into terms and `polynomial` turns terms back; `remainder` and `s_pair`
+    take and return terms, so a caller that keeps its own polynomials as
+    terms, as `buchberger` does, never leaves this form.  Pending terms sit
+    in a dict keyed by the order key and in a heap of those keys; a tail
+    term of a step costs two int additions and one dict lookup, and the
+    divisor scan one subtraction and one mask per divisor.  Exponents are
+    exact up to MAX_EXPONENT; a term past it raises
+    ResourceLimitExceeded("degree") when it is read or taken off the heap,
+    never a wrong remainder.  Integral coefficients are ints, and the
+    reduction stays on ints wherever the leading coefficient divides the
+    term it cancels; Fractions appear only where a division is inexact.  The
+    result is exactly the Fraction computation's.
 
     Given a budget, the reduction ticks it once per step, and once per term
     on a step with a Fraction multiplier, since Fraction arithmetic on large
@@ -573,71 +594,84 @@ class DivisorTable:
 
     __slots__ = ("order", "entries", "ring", "packing")
 
-    def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder):
+    def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder,
+                 ring: PolyRing | None = None):
         self.order = order
         self.entries: list = []  # (packed lm, lm key, lc, [(key, packed, c) of the tail])
-        self.ring = None
-        self.packing = None
+        self.ring = ring  # else fixed by the first polynomial packed
+        self.packing = None if ring is None else order.packing(ring.nvars())
         for g in divisors:
             self.add(g)
 
+    def pack(self, f: Polynomial) -> list:
+        """f's terms (order key, packed exponents, coefficient)."""
+        if self.packing is None:
+            self.ring, self.packing = f.ring, self.order.packing(f.ring.nvars())
+        key, pack = self.packing.key, self.packing.pack
+        return [(key(m), pack(m), _int_if_integral(c)) for m, c in f.terms.items()]
+
+    def polynomial(self, terms: Iterable[tuple]) -> Polynomial:
+        unpack = self.packing.unpack
+        return Polynomial._raw(self.ring, {unpack(p): Fraction(c) for _, p, c in terms})
+
     def add(self, g: Polynomial) -> None:
         """Append g (ignored when zero) as the last divisor."""
-        if g.is_zero:
-            return
-        if self.packing is None:
-            self.ring = g.ring
-            self.packing = self.order.packing(g.ring.nvars())
-        key, pack = self.packing.key, self.packing.pack
-        tail = [(key(m), pack(m), _int_if_integral(c)) for m, c in g.terms.items()]
-        lead = min(tail)  # keys are distinct, and the smallest is the largest monomial
+        if not g.is_zero:
+            self.append(self.pack(g))
+
+    def append(self, terms: Sequence[tuple]) -> None:
+        """Append the nonzero polynomial with these terms as the last divisor."""
+        lead = min(terms)  # keys are distinct, and the smallest is the largest monomial
+        tail = list(terms)
         tail.remove(lead)
         self.entries.append((lead[1], lead[0], lead[2], tail))
 
     def normal_form(self, f: Polynomial, budget=None) -> Polynomial:
         if f.is_zero or not self.entries:
             return f
-        key, pack = self.packing.key, self.packing.pack
-        return self._reduce([(key(m), pack(m), _int_if_integral(c)) for m, c in f.terms.items()],
-                            f.ring, budget)
+        return self.polynomial(self.remainder(self.pack(f), budget))
 
-    def s_pair(self, i: int, j: int, budget=None) -> Polynomial:
-        """The normal form of a nonzero multiple of the S-polynomial of
-        divisors i and j: (lc_j/g) u g_i - (lc_i/g) v g_j, where u g_i and
-        v g_j have the lcm of the leading monomials as leading monomial and
-        g = gcd(lc_i, lc_j) for int leading coefficients (g = 1 otherwise).
-        It is built from the stored tails, so integral divisors give integral
-        terms."""
+    def s_pair(self, i: int, j: int, budget=None) -> list:
+        """The remainder, as terms, of a nonzero multiple of the S-polynomial
+        of divisors i and j: (lc_j/g) u g_i - (lc_i/g) v g_j, where u g_i
+        and v g_j have the lcm of the leading monomials as leading monomial
+        and g = gcd(lc_i, lc_j) for int leading coefficients (g = 1
+        otherwise).  It is built from the stored tails, so integral divisors
+        give integral terms."""
         packing = self.packing
         lp_i, lk_i, lc_i, tail_i = self.entries[i]
         lp_j, lk_j, lc_j, tail_j = self.entries[j]
-        lcm = tuple(map(max, packing.unpack(lp_i), packing.unpack(lp_j)))
-        lcm_packed, lcm_key = packing.pack(lcm), packing.key(lcm)
+        lcm_packed = packing.lcm(lp_i, lp_j)
+        lcm_key = packing.key(packing.unpack(lcm_packed))
         g = gcd(lc_i, lc_j) if type(lc_i) is int and type(lc_j) is int else 1
         terms = []
         for tail, lp, lk, scale in ((tail_i, lp_i, lk_i, _int_if_integral(Fraction(lc_j, g))),
                                     (tail_j, lp_j, lk_j, _int_if_integral(Fraction(-lc_i, g)))):
             shift, kshift = lcm_packed - lp, lcm_key - lk
             terms += [(tk + kshift, tp + shift, scale * tc) for tk, tp, tc in tail]
-        return self._reduce(terms, self.ring, budget)
+        return self.remainder(terms, budget)
 
-    def _reduce(self, terms: Iterable[tuple], ring: PolyRing, budget) -> Polynomial:
-        """The remainder of the sum of the terms (negated order key, packed
-        exponents, coefficient)."""
+    def remainder(self, terms: Iterable[tuple], budget=None) -> list:
+        """The remainder of the sum of the terms, as terms in descending
+        order.  A coefficient is an int or a Fraction, which may be
+        integral.  On an empty table the terms, which must then have
+        distinct keys, come back as they are, and no step is counted."""
+        if not self.entries:
+            return list(terms)
         coeff: dict = {}
-        expo: dict = {}
+        expo: dict = {}  # key -> packed exponents, for every key put on the heap
         for k, p, c in terms:
             acc = coeff.get(k, 0) + c
             if acc:
                 coeff[k] = acc
                 expo[k] = p
             else:
-                del coeff[k]
+                del coeff[k], expo[k]
         packing = self.packing
         guard, entries = packing.guard, self.entries
         heap = list(coeff)
         heapify(heap)
-        out: dict = {}
+        out: list = []
         steps = 0
         while heap:
             k = heappop(heap)
@@ -655,7 +689,7 @@ class DivisorTable:
                 if not shift & guard:  # the leading monomial divides m
                     break
             else:
-                out[packing.unpack(m)] = Fraction(c) if type(c) is int else c
+                out.append((k, m, c))
                 continue
             _, lk, lc, tail = entry
             if lc == 1:
@@ -673,8 +707,11 @@ class DivisorTable:
                 acc = coeff.get(k2)
                 if acc is None:
                     coeff[k2] = -scale * tc
-                    expo[k2] = tp + shift
-                    heappush(heap, k2)
+                    # every term of a step lies below the popped one, so a
+                    # popped key never returns: a key in expo is on the heap
+                    if k2 not in expo:
+                        expo[k2] = tp + shift
+                        heappush(heap, k2)
                 else:
                     acc = acc - scale * tc
                     if acc:
@@ -683,7 +720,7 @@ class DivisorTable:
                         del coeff[k2]
         if budget is not None:
             budget.counters.normal_form_steps += steps
-        return Polynomial._raw(ring, out)
+        return out
 
 
 def reduce(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder,
@@ -715,29 +752,3 @@ def exact_divide(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
         quotient[shift] = scale
         rest = rest - g.scale_shift(scale, shift)
     return Polynomial._raw(f.ring, quotient)
-
-
-def primitive_part(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    """Integer-primitive scalar multiple of f with positive leading coefficient."""
-    if f.is_zero:
-        return f
-    denom = 1
-    for c in f.terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    numer = 0
-    for c in f.terms.values():
-        numer = gcd(numer, c.numerator * (denom // c.denominator))
-    scale = Fraction(denom, numer)
-    _, lc = leading_term(f, order)
-    if lc < 0:
-        scale = -scale
-    return f * scale
-
-
-def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    if f.is_zero:
-        return f
-    _, lc = leading_term(f, order)
-    if lc == 1:
-        return f
-    return f * (1 / lc)

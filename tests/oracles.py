@@ -1,14 +1,165 @@
 """Reference implementations that tests compare the package against."""
 
+import heapq
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import gcd
 from typing import Iterable, Sequence
 
 from repcount.count import FiniteDimAlgebra
 from repcount.genmat import GenericMatrixSpace
-from repcount.groebner import Budget, Ideal, buchberger, ideal_quotient, intersect
+from repcount.groebner import (
+    Budget,
+    GroebnerBasis,
+    Ideal,
+    ResourceLimits,
+    buchberger,
+    ideal_quotient,
+    intersect,
+)
 from repcount.matrices import Matrix
-from repcount.poly import GREVLEX, MonomialOrder, PolyRing, Polynomial
+from repcount.poly import (
+    GREVLEX,
+    DivisorTable,
+    MonomialOrder,
+    PolyRing,
+    Polynomial,
+    leading_term,
+    monomial_div,
+    monomial_divides,
+)
+
+
+def monomial_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """S(f, g) = (lcm/lt(f)) f - (lcm/lt(g)) g, with lcm of the leading monomials."""
+    lmf, lcf = leading_term(f, order)
+    lmg, lcg = leading_term(g, order)
+    lcm = monomial_lcm(lmf, lmg)
+    left = f.scale_shift(1 / lcf, monomial_div(lcm, lmf))
+    right = g.scale_shift(1 / lcg, monomial_div(lcm, lmg))
+    return left - right
+
+
+def primitive_part(f: Polynomial, order: MonomialOrder) -> Polynomial:
+    """Integer-primitive scalar multiple of f with positive leading coefficient."""
+    if f.is_zero:
+        return f
+    denom = 1
+    for c in f.terms.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    numer = 0
+    for c in f.terms.values():
+        numer = gcd(numer, c.numerator * (denom // c.denominator))
+    scale = Fraction(denom, numer)
+    _, lc = leading_term(f, order)
+    if lc < 0:
+        scale = -scale
+    return f * scale
+
+
+def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
+    if f.is_zero:
+        return f
+    _, lc = leading_term(f, order)
+    if lc == 1:
+        return f
+    return f * (1 / lc)
+
+
+def buchberger_reference(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVLEX,
+                         limits: ResourceLimits | Budget | None = None,
+                         ring: PolyRing | None = None) -> GroebnerBasis:
+    """`buchberger` with the basis kept as Polynomials and the pair update on
+    exponent tuples: the same normal strategy, the same Gebauer-Moeller
+    criteria and the same S-pair reductions in the same `DivisorTable`
+    kernel, so its reduced basis and its `EngineCounters` must equal the
+    package's exactly."""
+    budget = Budget.of(limits)
+    counters = budget.counters
+    if isinstance(ideal, Ideal):
+        gens = list(ideal.generators)
+        ring = ideal.ring
+    else:
+        gens = [g for g in ideal if not g.is_zero]
+        if ring is None:
+            ring = gens[0].ring
+    if not gens:
+        return GroebnerBasis(ring, order, ())
+
+    basis: list = []
+    lm: list = []
+    table = DivisorTable((), order)
+    active: list = []  # indices of elements no later leading monomial divides
+    pairs: list = []  # heap of (lcm degree, lcm key, i, j, lcm)
+
+    def update(k: int) -> None:
+        mk = lm[k]
+        # (i, lcm, coprime): min is positive where both monomials have the variable
+        new = [(i, monomial_lcm(lm[i], mk), not any(map(min, lm[i], mk))) for i in active]
+        kept = []
+        for index, (i, lcm, coprime) in enumerate(new):
+            if coprime or not any(monomial_divides(other[1], lcm)
+                                  for other in chain(new[index + 1:], kept)):
+                kept.append((i, lcm, coprime))
+            else:
+                counters.dropped_mf += 1
+        old = []
+        for pair in pairs:
+            _, _, i, j, lcm = pair
+            if (monomial_divides(mk, lcm) and monomial_lcm(lm[i], mk) != lcm
+                    and monomial_lcm(lm[j], mk) != lcm):
+                counters.dropped_b += 1
+            else:
+                old.append(pair)
+        for i, lcm, coprime in kept:
+            if coprime:
+                counters.dropped_coprime += 1
+            else:
+                old.append((sum(lcm), order.key(lcm), i, k, lcm))
+        heapq.heapify(old)
+        pairs[:] = old
+        active[:] = [i for i in active if not monomial_divides(mk, lm[i])] + [k]
+
+    def insert(p: Polynomial) -> bool:
+        p = primitive_part(p, order)
+        budget.check_degree(p.total_degree())
+        counters.max_coeff_bits = max(counters.max_coeff_bits,
+                                      *(c.numerator.bit_length() for c in p.terms.values()))
+        basis.append(p)
+        lm.append(leading_term(p, order)[0])
+        budget.check_basis(len(basis))
+        table.add(p)
+        update(len(basis) - 1)
+        return p.is_constant
+
+    for g in sorted(gens, key=lambda g: (g.total_degree(), len(g.terms))):
+        r = table.normal_form(g, budget)
+        if not r.is_zero and insert(r):
+            return GroebnerBasis(ring, order, (ring.one,))
+
+    while pairs:
+        budget.tick()
+        _, _, i, j, _ = heapq.heappop(pairs)
+        counters.s_pairs += 1
+        r = table.polynomial(table.s_pair(i, j, budget))
+        if r.is_zero:
+            counters.zero_reductions += 1
+        elif insert(r):
+            return GroebnerBasis(ring, order, (ring.one,))
+
+    minimal = [basis[i] for i in active]
+    reduced_table = DivisorTable((), order)
+    reduced = []
+    for g in sorted(minimal, key=lambda g: order.key(leading_term(g, order)[0])):
+        budget.tick()
+        r = make_monic(reduced_table.normal_form(g, budget), order)
+        reduced_table.add(r)
+        reduced.append(r)
+    return GroebnerBasis(ring, order, reduced)
 
 
 def unit_ideal(ring: PolyRing) -> Ideal:

@@ -21,7 +21,6 @@ from repcount.groebner import (
     buchberger,
     ideal_quotient,
     intersect,
-    s_polynomial,
     saturate_principal,
 )
 from repcount.matrices import Matrix
@@ -29,7 +28,7 @@ from repcount.poly import MonomialOrder, PolyRing, auxiliary
 from repcount.presentation import parse_presentation
 
 from conftest import load
-from oracles import equal_ideals, saturate
+from oracles import equal_ideals, s_polynomial, saturate
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()

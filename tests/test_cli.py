@@ -39,15 +39,17 @@ class TestDecide:
 
     def test_verbose_reports_engine_counters(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("s3"), "-n", "2", "--json")
-        engine = json.loads(out)["metrics"]["engine"]
+        metrics = json.loads(out)["metrics"]
         code, out, err = run_cli(capsys, "decide", alg("s3"), "-n", "2", "-v")
         assert code == 0
-        lines = [line for line in out.splitlines() if line.startswith("engine: ")]
+        lines = [line for line in out.splitlines() if line.startswith("engine")]
         assert lines == [
-            "engine: %(s_pairs)d S-pairs reduced (%(zero_reductions)d to zero), pairs "
+            "%(label)s: %(s_pairs)d S-pairs reduced (%(zero_reductions)d to zero), pairs "
             "dropped: %(dropped_coprime)d coprime, %(dropped_mf)d M/F, %(dropped_b)d B; "
             "%(normal_form_steps)d normal-form steps; basis coefficients up to "
-            "%(max_coeff_bits)d bits" % engine]
+            "%(max_coeff_bits)d bits" % dict(counters, label=label)
+            for label, counters in [("engine", metrics["engine"])] + [
+                ("engine[%s]" % stage, c) for stage, c in metrics["engine_by_stage"].items()]]
 
     def test_verbose_reports_power_free_words(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("qplane"), "-n", "2", "-v")
@@ -136,6 +138,25 @@ class TestJson:
         assert list(payload["metrics"]["engine"]) == [
             "s_pairs", "zero_reductions", "dropped_coprime", "dropped_mf", "dropped_b",
             "normal_form_steps", "max_coeff_bits"]
+        by_stage = payload["metrics"]["engine_by_stage"]
+        assert list(by_stage) == ["relations", "certificates", "locus", "algebraic", "count"]
+        assert all(list(counters) == list(payload["metrics"]["engine"])
+                   for counters in by_stage.values())
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "s3", "-n", "2"),
+        ("count", "s3", "-n", "2"),
+        ("count", "idempotent", "-n", "2"),
+        ("count", "s3", "-n", "2", "--max-seconds", "0.05"),  # stopped in some stage
+    ])
+    def test_engine_by_stage_adds_up_to_engine(self, capsys, argv):
+        command, name, *rest = argv
+        payload = json.loads(run_cli(capsys, command, alg(name), *rest, "--json")[1])
+        engine, by_stage = payload["metrics"]["engine"], payload["metrics"]["engine_by_stage"]
+        assert by_stage
+        for key, total in engine.items():
+            parts = [counters[key] for counters in by_stage.values()]
+            assert total == (max(parts) if key == "max_coeff_bits" else sum(parts)), key
 
     def test_engine_counters_cover_the_count_stage(self, capsys):
         # the counters live on the run's budget: the count's normal forms

@@ -15,6 +15,7 @@ from sympy.polys.orderings import ProductOrder, grevlex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repcount.genmat import build_generic_space, relations_ideal
 from repcount.groebner import (
     Budget,
     GroebnerBasis,
@@ -24,7 +25,6 @@ from repcount.groebner import (
     buchberger,
     ideal_quotient,
     intersect,
-    s_polynomial,
     saturate_principal,
 )
 from repcount.poly import (
@@ -34,11 +34,20 @@ from repcount.poly import (
     Polynomial,
     auxiliary,
     leading_term,
+)
+from repcount.presentation import parse_presentation
+
+from conftest import ALGEBRAS
+from oracles import (
+    buchberger_reference,
+    eliminate,
+    equal_ideals,
     make_monic,
     primitive_part,
+    s_polynomial,
+    saturate,
+    unit_ideal,
 )
-
-from oracles import eliminate, equal_ideals, saturate, unit_ideal
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -288,7 +297,52 @@ class TestSPairs:
                 g = (math.gcd(int(lc_i), int(lc_j))
                      if lc_i.denominator == lc_j.denominator == 1 else 1)
                 expected = table.normal_form(s_polynomial(divisors[i], divisors[j], order))
-                assert table.s_pair(i, j) == expected * (lc_i * lc_j / g)
+                assert table.polynomial(table.s_pair(i, j)) == expected * (lc_i * lc_j / g)
+
+
+D5 = """generators: a, b
+relation: a^2 - 1
+relation: b^5 - 1
+relation: a*b*a*b - 1
+"""
+
+
+class TestPackedEngine:
+    """`buchberger` against `oracles.buchberger_reference`, the same engine
+    with its basis as Polynomials and its pair update on exponent tuples:
+    the reduced bases and every engine counter must be equal."""
+
+    @staticmethod
+    def assert_same_run(gens, order, ring, limits=None):
+        # the engines do the same work, so a cap on the degree or the basis
+        # size stops both at the same insertion
+        results = []
+        for engine in (buchberger, buchberger_reference):
+            budget = Budget(limits)
+            try:
+                basis = engine(gens, order, budget, ring=ring)
+                elements = basis.elements
+                # the basis keeps the table it was interreduced in
+                assert basis.table.entries == DivisorTable(elements, order).entries
+            except ResourceLimitExceeded as stop:
+                elements = str(stop)
+            results.append((elements, budget.counters))
+        assert results[0] == results[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(),
+           st.sampled_from([GREVLEX, LEX, MonomialOrder.elimination((0,), 3),
+                            MonomialOrder.elimination((1, 2), 3, inner="lex")]))
+    def test_random_ideals(self, rng, rational, order):
+        coeffs = RATIONAL_COEFFS if rational else (-3, -2, -1, 1, 2, 3)
+        gens = [_random_poly(R, rng, coeffs=coeffs) for _ in range(rng.randrange(2, 4))]
+        self.assert_same_run(gens, order, R, ResourceLimits(max_degree=10, max_basis=30))
+
+    @pytest.mark.parametrize("text", [(ALGEBRAS / "s3.alg").read_text(), D5])
+    def test_group_relations_ideals_at_n2(self, text):
+        presentation = parse_presentation(text)
+        ideal = relations_ideal(presentation, build_generic_space(2, presentation.num_generators))
+        self.assert_same_run(ideal, GREVLEX, ideal.ring)
 
 
 class TestEngineCounters:

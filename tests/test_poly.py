@@ -16,11 +16,11 @@ from repcount.poly import (
     auxiliary,
     exact_divide,
     leading_term,
-    make_monic,
     matrix_entry,
-    primitive_part,
     reduce,
 )
+
+from oracles import make_monic, primitive_part
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -351,6 +351,25 @@ class TestExponentLimit:
         key = order.packing(3).key
         assert (key(a) < key(b)) == (order.key(a) > order.key(b))
         assert (key(a) == key(b)) == (a == b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(st.integers(0, 3), st.sampled_from([MAX_EXPONENT - 1, MAX_EXPONENT]),
+                           st.integers(0, MAX_EXPONENT)), min_size=n, max_size=n),
+        min_size=2, max_size=2)))
+    @example([[0, 3, MAX_EXPONENT], [1, 3, MAX_EXPONENT]])
+    def test_packed_lcm_divisibility_and_coprimality_match_the_tuple_versions(self, monos):
+        a, b = map(tuple, monos)
+        packing = GREVLEX.packing(len(a))
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(packing.lcm(pa, pb)) == tuple(map(max, a, b))
+        for (x, px), (y, py) in (((a, pa), (b, pb)), ((b, pb), (a, pa))):
+            divides = all(e <= f for e, f in zip(x, y))
+            assert packing.divides(px, py) == divides
+            # the pair update scans only lcms no larger as ints
+            assert px <= py or not divides
+        coprime = not any(e and f for e, f in zip(a, b))
+        assert (not packing.support(pa) & packing.support(pb)) == coprime
 
     @pytest.mark.parametrize("order", [LEX, MonomialOrder.elimination((0,), 2),
                                        MonomialOrder.elimination((0,), 2, inner="lex")])
