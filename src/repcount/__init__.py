@@ -42,7 +42,6 @@ from .genmat import (
     certificates,
     length_bound,
     relations_ideal,
-    standard_identity,
     trace_generators,
 )
 from .groebner import (

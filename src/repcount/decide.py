@@ -30,8 +30,8 @@ from .genmat import (
     GenericMatrixSpace,
     TraceGenerator,
     build_generic_space,
+    certificate_terms,
     certificate_words,
-    certificates,
     length_bound,
     relations_ideal,
     trace_generators,
@@ -206,10 +206,12 @@ def minimal_polynomial(f: Polynomial, basis: GroebnerBasis, limits=None,
 
     echelon = PolyEchelon()
     echelon.insert(ring.one)
-    power = ring.one
+    table = basis.table
+    factor, terms = table.pack(nf), table.pack(ring.one)
     for k in range(1, power_cap + 1):
         budget.tick()
-        power = basis.normal_form(power * nf, budget)
+        terms = table.product([(terms, factor)], budget)
+        power = table.polynomial(terms)
         status, data = echelon.insert(power)
         if status == "dependent":
             coeffs = tuple(-data.get(i, Fraction(0)) for i in range(k)) + (Fraction(1),)
@@ -254,15 +256,15 @@ def collapsed_certificate_values(space: GenericMatrixSpace, basis: GroebnerBasis
     set; word-product entries are reduced as they are built, so nothing
     large is ever materialized.
     """
-    budget = Budget.of(limits)
     words = certificate_words(space.s, max_len, space.n)
     values = []
     seen: set = set()
-    for _, value in certificates(space, words, lambda e: basis.normal_form(e, budget), budget):
-        if value in seen or -value in seen:
+    for _, terms in certificate_terms(space, words, basis.table, Budget.of(limits)):
+        value = tuple(terms)  # the normal form's terms, in descending order
+        if value in seen or tuple((k, p, -c) for k, p, c in terms) in seen:
             continue
         seen.add(value)
-        values.append(value)
+        values.append(basis.table.polynomial(terms))
     return values, len(words) * comb(len(words), 2 * (space.n - 1))
 
 
@@ -407,7 +409,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
             metrics.locus_gb_max_degree = locus.max_degree()
 
         with clock.stage("algebraic"):
-            gens = trace_generators(space, lambda e: locus.normal_form(e, budget))
+            gens = trace_generators(space, locus.table, budget)
             run.generators = gens
             metrics.trace_generator_count = len(gens)
             minimal = {}

@@ -14,6 +14,9 @@ generic matrix (x[i,j,l]).  This module builds:
     Pappacena-style bound returned by `length_bound`, `certificate_words`
     lists the n-th-power-free words, which give the same certificate ideal,
     and `certificates` streams the certificates on a word list.
+
+Word matrices, s_m and traces are d x d matrices of packed `DivisorTable` terms,
+each entry of a product one `DivisorTable.product` (an empty table reduces nothing).
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .groebner import Budget, Ideal
-from .matrices import Matrix, trace_of_product
-from .poly import PolyRing, Polynomial, matrix_entry
+from .matrices import Matrix
+from .poly import GREVLEX, DivisorTable, PolyRing, Polynomial, matrix_entry
 from .presentation import Presentation, format_word, substitute
 
 
@@ -76,48 +79,6 @@ def relations_ideal(p: Presentation, space: GenericMatrixSpace) -> Ideal:
                 if not entry.is_zero:
                     gens.append(entry)
     return Ideal(space.ring, gens)
-
-
-def standard_identity(m: int, args: Sequence[Matrix],
-                      reduce: Callable | None = None) -> Matrix:
-    """s_m(A_1..A_m): the signed sum of all m! orderings of the product.
-
-    Computed by dynamic programming over subsets (sharing partial products
-    across permutations) rather than literally summing m! products.  Repeated
-    arguments make the result zero, since s_m alternates.  `reduce`, if
-    given, is applied to every entry of every partial product; a normal form
-    modulo an ideal keeps the intermediate polynomials small and gives the
-    normal form of the result.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if len(args) != m:
-        raise ValueError("expected %d matrices" % m)
-    if len(set(args)) != m:
-        d = args[0].nrows
-        return Matrix.zeros(d)
-
-    # acc[frozenset of used indices] -> signed sum over orderings of that subset
-    d = args[0].nrows
-    acc = {frozenset(): Matrix.identity(d)}
-    for _ in range(m):
-        nxt: dict = {}
-        for used, mat in acc.items():
-            for k in range(m):
-                if k in used:
-                    continue
-                # appending index k after the used set: the sign contribution
-                # is (-1)^(number of remaining indices smaller than k)
-                sign = (-1) ** sum(1 for r in range(k) if r not in used)
-                term = mat * args[k]
-                if reduce is not None:
-                    term = term.map(reduce)
-                if sign < 0:
-                    term = -term
-                key = used | {k}
-                nxt[key] = term if key not in nxt else nxt[key] + term
-        acc = nxt
-    return acc[frozenset(range(m))]
 
 
 def length_bound(n: int) -> int:
@@ -189,26 +150,52 @@ def _necklaces(s: int, max_len: int) -> list:
     return out
 
 
-def _word_matrices(space: GenericMatrixSpace, words: Sequence[tuple],
-                   reduce: Callable | None = None) -> Iterator[tuple]:
-    """Yield (word, matrix) for each distinct word, in lexicographic order.
+def _product_sum(table: DivisorTable, pairs: Sequence[tuple], budget: Budget) -> list:
+    """The sum of A * B over the (A, B) pairs of packed matrices."""
+    d = len(pairs[0][0])
+    return [[table.product([(a[i][k], b[k][j]) for a, b in pairs for k in range(d)], budget)
+             for j in range(d)] for i in range(d)]
 
-    Every prefix of a word gets its matrix once, as its parent prefix's
-    matrix times one generic matrix, and a matrix is dropped once all its
-    one-letter extensions are built: x, x^2, .., x^9 never holds more than
-    two.  `reduce`, if given, maps every entry of every product.
-    """
+
+def _standard_polynomial(table: DivisorTable, args: Sequence[list], budget: Budget) -> list:
+    """s_m(A_1..A_m), the signed sum of the products in all m! orders, by
+    dynamic programming over subsets: acc[used] is the signed sum over the
+    orders of the subset `used`, and appending index k after it contributes
+    the sign (-1)^(number of unused indices below k)."""
+    m = len(args)
+    signed = [(a, [[[(k, p, -c) for k, p, c in e] for e in row] for row in a]) for a in args]
+    acc = {frozenset([k]): signed[k][k & 1] for k in range(m)}
+    for _ in range(m - 1):
+        pairs: dict = {}
+        for used, mat in acc.items():
+            for k in range(m):
+                if k not in used:
+                    below = sum(1 for r in range(k) if r not in used)
+                    pairs.setdefault(used | {k}, []).append((mat, signed[k][below & 1]))
+        acc = {used: _product_sum(table, p, budget) for used, p in pairs.items()}
+    return acc[frozenset(range(m))]
+
+
+def _word_matrices(space: GenericMatrixSpace, words: Sequence[tuple], table: DivisorTable,
+                   budget: Budget) -> Iterator[tuple]:
+    """Yield (word, packed matrix) for each distinct word, in lexicographic
+    order, with entries reduced modulo `table`.  Every prefix of a word gets
+    its matrix once, as its parent prefix's matrix times one generic matrix,
+    and a matrix is dropped once all its one-letter extensions are built:
+    x, x^2, .., x^9 never holds more than two."""
     words = sorted(set(words))
     children = Counter(p[:-1] for p in {w[:k] for w in words for k in range(1, len(w) + 1)})
-    matrices = {(): Matrix.identity(space.n, space.ring.one, space.ring.zero)}
+    generic = [[[table.pack(e) for e in row] for row in x.rows] for x in space.matrices]
+    one = [(0, 0, 1)]  # the unit monomial's key and packed exponents are 0
+    matrices = {(): [[one if i == j else [] for j in range(space.n)] for i in range(space.n)]}
     for w in words:
         built = len(w)
         while w[:built] not in matrices:  # the longest prefix built so far
             built -= 1
         for k in range(built + 1, len(w) + 1):
             parent = w[:k - 1]
-            extended = matrices[parent] * space.matrices[w[k - 1]]
-            matrices[w[:k]] = extended if reduce is None else extended.map(reduce)
+            matrices[w[:k]] = _product_sum(table, [(matrices[parent], generic[w[k - 1]])],
+                                           budget)
             children[parent] -= 1
             if not children[parent]:
                 del matrices[parent]
@@ -217,15 +204,19 @@ def _word_matrices(space: GenericMatrixSpace, words: Sequence[tuple],
             del matrices[w]
 
 
-def trace_generators(space: GenericMatrixSpace, reduce: Callable | None = None) -> tuple:
+def trace_generators(space: GenericMatrixSpace, table: DivisorTable | None = None,
+                     limits=None) -> tuple:
     """Trace ring generators: tr(w) over cyclic words of length <= n^2,
-    sorted by length then lexicographically.  The word matrices come from
-    `_word_matrices`, one product per distinct prefix.  `reduce`, if given,
-    maps every entry of every product; a normal form gives the normal form
-    of tr(w)."""
+    sorted by length then lexicographically, as normal forms modulo `table`
+    (none by default), from `_word_matrices`' one product per prefix."""
+    plain = DivisorTable((), GREVLEX, space.ring)  # sums the normal forms on the diagonal
+    table = plain if table is None else table
+    budget = Budget.of(limits)
     necklaces = _necklaces(space.s, space.n * space.n)
-    words = [cw.letters for cw in necklaces]
-    traces = {w: m.trace() for w, m in _word_matrices(space, words, reduce)}
+    traces = {}
+    for w, m in _word_matrices(space, [cw.letters for cw in necklaces], table, budget):
+        diagonal = [t for i, row in enumerate(m) for t in row[i]]
+        traces[w] = plain.polynomial(plain.remainder(diagonal))
     return tuple(TraceGenerator(cw, traces[cw.letters]) for cw in necklaces)
 
 
@@ -268,32 +259,39 @@ def certificate_words(s: int, max_len: int, n: int) -> list:
     return out
 
 
-def certificates(space: GenericMatrixSpace, words: Sequence[tuple],
-                 reduce: Callable | None = None, limits=None) -> Iterator[tuple]:
-    """Yield ((M0, M1, .., Mm), value) for every nonzero certificate
-    trace(M0 * s_m(M1..Mm)) on `words`, with m = 2(n-1).
+def certificate_terms(space: GenericMatrixSpace, words: Sequence[tuple], table: DivisorTable,
+                      budget: Budget) -> Iterator[tuple]:
+    """Yield ((M0, M1, .., Mm), terms) for every certificate
+    trace(M0 * s_m(M1..Mm)) on `words`, with m = 2(n-1), whose normal form
+    modulo `table` is nonzero; the terms are that normal form's.
 
     The M1..Mm slots are unordered without repeats (permutations only flip
     the sign, repeats vanish) and M0 ranges over all of `words`; the order is
-    `for rest in combinations(words, m): for m0 in words`.  Word matrices
-    come from `_word_matrices`, one product per distinct prefix.  `reduce`,
-    if given, maps every entry of every product, and the value, to its
-    normal form.  The budget ticks once per (M1..Mm) tuple.
+    `for rest in combinations(words, m): for m0 in words`.  Every entry of a
+    word matrix and of s_m, and every value, is one `DivisorTable.product`
+    of normal forms, which is the normal form of the unreduced product since
+    normal forms are linear.  The budget ticks once per (M1..Mm) tuple.
     """
     n = space.n
     if n < 2:
         raise ValueError("certificate sets need n >= 2")
-    budget = Budget.of(limits)
-    m = 2 * (n - 1)
-    word_matrix = dict(_word_matrices(space, words, reduce))
-    for rest in combinations(words, m):
+    word_matrix = dict(_word_matrices(space, words, table, budget))
+    for rest in combinations(words, 2 * (n - 1)):
         budget.tick()
-        alt = standard_identity(m, [word_matrix[w] for w in rest], reduce)
-        if alt.is_zero:
+        alt = _standard_polynomial(table, [word_matrix[w] for w in rest], budget)
+        if not any(e for row in alt for e in row):
             continue
         for m0 in words:
-            value = trace_of_product(word_matrix[m0], alt)
-            if reduce is not None:
-                value = reduce(value)
-            if not value.is_zero:
+            left = word_matrix[m0]
+            value = table.product([(left[i][k], alt[k][i]) for i in range(n) for k in range(n)],
+                                  budget)
+            if value:
                 yield (m0,) + rest, value
+
+
+def certificates(space: GenericMatrixSpace, words: Sequence[tuple],
+                 table: DivisorTable | None = None, limits=None) -> Iterator[tuple]:
+    """`certificate_terms` as Polynomials, modulo `table` (none by default)."""
+    table = DivisorTable((), GREVLEX, space.ring) if table is None else table
+    for slots, terms in certificate_terms(space, words, table, Budget.of(limits)):
+        yield slots, table.polynomial(terms)

@@ -1,14 +1,13 @@
 """Tiny immutable matrices over whatever coefficients support ring arithmetic.
 
 Entries can be ints, Fractions, or Polynomials (anything with +, -, * and a
-sensible zero test through bool); the package uses these both for generic
-matrices with polynomial entries and for concrete rational representations
-in tests.
+zero test through bool).  The package evaluates the relations on generic
+matrices with them; words and certificates use `genmat`'s packed products.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 
 class Matrix:
@@ -81,9 +80,6 @@ class Matrix:
     @property
     def is_zero(self) -> bool:
         return not any(bool(a) for r in self.rows for a in r)
-
-    def map(self, fn: Callable[[Any], Any]) -> "Matrix":
-        return Matrix([[fn(a) for a in r] for r in self.rows])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

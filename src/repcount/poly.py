@@ -573,13 +573,13 @@ class DivisorTable:
 
     Monomials are the order's `_Packing` ints, and a term is the triple
     (order key, packed exponents, coefficient).  `pack` turns a Polynomial
-    into terms and `polynomial` turns terms back; `remainder` and `s_pair`
-    take and return terms, so a caller that keeps its own polynomials as
-    terms, as `buchberger` does, never leaves this form.  Pending terms sit
-    in a dict keyed by the order key and in a heap of those keys; a tail
-    term of a step costs two int additions and one dict lookup, and the
-    divisor scan one subtraction and one mask per divisor.  Exponents are
-    exact up to MAX_EXPONENT; a term past it raises
+    into terms and `polynomial` turns terms back; `remainder`, `s_pair` and
+    `product` take and return terms, so a caller that keeps its polynomials
+    as terms, as `buchberger` and `genmat` do, never leaves this form.
+    Pending terms sit in a dict keyed by the order key and in a heap of
+    those keys; a tail term of a step costs two int additions and one dict
+    lookup, and the divisor scan one subtraction and one mask per divisor.
+    Exponents are exact up to MAX_EXPONENT; a term past it raises
     ResourceLimitExceeded("degree") when it is read or taken off the heap,
     never a wrong remainder.  Integral coefficients are ints, and the
     reduction stays on ints wherever the leading coefficient divides the
@@ -651,13 +651,17 @@ class DivisorTable:
             terms += [(tk + kshift, tp + shift, scale * tc) for tk, tp, tc in tail]
         return self.remainder(terms, budget)
 
+    def product(self, pairs: Iterable[tuple], budget=None) -> list:
+        """The remainder of the sum of a * b over the pairs (a, b) of term
+        lists: keys and packed exponents add, coefficients multiply."""
+        return self.remainder([(ka + kb, pa + pb, ca * cb) for a, b in pairs
+                               for ka, pa, ca in a for kb, pb, cb in b], budget)
+
     def remainder(self, terms: Iterable[tuple], budget=None) -> list:
         """The remainder of the sum of the terms, as terms in descending
         order.  A coefficient is an int or a Fraction, which may be
-        integral.  On an empty table the terms, which must then have
-        distinct keys, come back as they are, and no step is counted."""
-        if not self.entries:
-            return list(terms)
+        integral, and terms may share a key.  On an empty table the
+        remainder is the sum, and no step is counted."""
         coeff: dict = {}
         expo: dict = {}  # key -> packed exponents, for every key put on the heap
         for k, p, c in terms:
@@ -669,6 +673,7 @@ class DivisorTable:
                 del coeff[k], expo[k]
         packing = self.packing
         guard, entries = packing.guard, self.entries
+        budget = budget if entries else None  # nothing divides: no step to count
         heap = list(coeff)
         heapify(heap)
         out: list = []

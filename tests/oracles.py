@@ -192,6 +192,39 @@ def all_words(s: int, max_len: int) -> list:
     return out
 
 
+def standard_identity(m: int, args: Sequence[Matrix]) -> Matrix:
+    """s_m(A_1..A_m): the signed sum of all m! orderings of the product, on
+    Matrix entries (ints, Fractions or Polynomials).
+
+    Computed by dynamic programming over subsets (sharing partial products
+    across permutations) rather than literally summing m! products.  Repeated
+    arguments make the result zero, since s_m alternates.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    if len(args) != m:
+        raise ValueError("expected %d matrices" % m)
+    d = args[0].nrows
+    if len(set(args)) != m:
+        return Matrix.zeros(d)
+    # acc[frozenset of used indices] -> signed sum over orderings of that subset
+    acc = {frozenset(): Matrix.identity(d)}
+    for _ in range(m):
+        nxt: dict = {}
+        for used, mat in acc.items():
+            for k in range(m):
+                if k in used:
+                    continue
+                # appending index k after the used set: the sign contribution
+                # is (-1)^(number of remaining indices smaller than k)
+                sign = (-1) ** sum(1 for r in range(k) if r not in used)
+                term = mat * args[k] if sign > 0 else -(mat * args[k])
+                key = used | {k}
+                nxt[key] = term if key not in nxt else nxt[key] + term
+        acc = nxt
+    return acc[frozenset(range(m))]
+
+
 def word_matrix(space: GenericMatrixSpace, word: Sequence[int]) -> Matrix:
     """Ordered product of generic matrices; the empty word is the identity."""
     out = Matrix.identity(space.n, space.ring.one, space.ring.zero)

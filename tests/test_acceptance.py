@@ -14,7 +14,7 @@ import sympy
 
 from repcount.count import count_from_run
 from repcount.decide import DecisionInput, Outcome, RunOptions, run_pipeline
-from repcount.genmat import build_generic_space, length_bound, standard_identity, trace_generators
+from repcount.genmat import build_generic_space, length_bound, trace_generators
 from repcount.groebner import (
     Ideal,
     ResourceLimits,
@@ -28,7 +28,7 @@ from repcount.poly import MonomialOrder, PolyRing, auxiliary
 from repcount.presentation import parse_presentation
 
 from conftest import load
-from oracles import equal_ideals, s_polynomial, saturate
+from oracles import equal_ideals, s_polynomial, saturate, standard_identity
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()

@@ -408,6 +408,24 @@ class TestDecideBudget:
         assert elapsed < budget + 0.3
 
 
+    def test_certificate_stage_overrun(self, capsys, tmp_path):
+        # the free algebra on three generators at n = 2: an empty relations
+        # basis, then 31,200 certificate candidates on unreduced products
+        path = tmp_path / "free3.alg"
+        path.write_text("generators: X, Y, Z\n")
+        budget = 0.5
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, "decide", str(path), "-n", "2", "--json",
+                                 "--max-seconds", str(budget))
+        elapsed = time.monotonic() - t0
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["reason"] == "time limit exceeded"
+        assert payload["stage"] == "certificates"
+        assert "locus" not in payload["timings_ms"]
+        assert elapsed < budget + 0.3
+
+
 class TestParser:
     def test_disable_time_limit(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("idempotent"), "-n", "1",

@@ -5,14 +5,16 @@ brute-force oracles here (explicit permutation sums, explicit rotation
 classes); everything downstream depends on these being right.
 """
 
+import functools
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repcount import genmat
 from repcount.genmat import (
     CyclicWord,
     _necklaces,
@@ -21,15 +23,15 @@ from repcount.genmat import (
     certificates,
     length_bound,
     relations_ideal,
-    standard_identity,
     trace_generators,
 )
-from repcount.groebner import buchberger
+from repcount.groebner import Budget, buchberger
 from repcount.matrices import Matrix, trace_of_product
-from repcount.poly import MonomialOrder
+from repcount.poly import GREVLEX, DivisorTable, MonomialOrder
 from repcount.presentation import parse_presentation
 
-from oracles import all_words, word_matrix
+from conftest import load
+from oracles import all_words, standard_identity, word_matrix
 
 
 def rational_matrix(rng, d):
@@ -108,6 +110,36 @@ class TestStandardIdentity:
             standard_identity(0, [])
         with pytest.raises(ValueError):
             standard_identity(2, [Matrix.identity(2)])
+
+
+def packed(table, matrix):
+    return [[table.pack(e) for e in row] for row in matrix.rows]
+
+
+class TestPackedStandardPolynomial:
+    @pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)])
+    def test_matches_the_oracle_on_generic_matrices(self, m, d):
+        # s_4 vanishes on 2 x 2 matrices (Amitsur-Levitzki), the others do not
+        space = build_generic_space(d, m)
+        table = DivisorTable((), GREVLEX, space.ring)
+        args = [packed(table, a) for a in space.matrices]
+        got = genmat._standard_polynomial(table, args, Budget())
+        expected = standard_identity(m, list(space.matrices))
+        assert [[table.polynomial(e) for e in row] for row in got] == \
+            [list(row) for row in expected.rows]
+        assert expected.is_zero == (m == 4 and d == 2)
+
+    def test_reduced_entries_are_the_normal_forms(self):
+        # every partial product is reduced, which gives the normal forms of
+        # the unreduced s_3, Fraction coefficients included
+        space = build_generic_space(2, 3)
+        p = parse_presentation("generators: X, Y, Z\nrelation: X*Y - 2/3*Z\n")
+        basis = buchberger(relations_ideal(p, space), GREVLEX)
+        args = [packed(basis.table, a) for a in space.matrices]
+        got = genmat._standard_polynomial(basis.table, args, Budget())
+        expected = standard_identity(3, list(space.matrices))
+        assert [[basis.table.polynomial(e) for e in row] for row in got] == \
+            [[basis.normal_form(e) for e in row] for row in expected.rows]
 
 
 class TestLengthBound:
@@ -212,15 +244,16 @@ class TestTraceGenerators:
         # traces equal those of matrices built from the identity
         space = build_generic_space(n, s)
         calls = []
-        original = Matrix.__mul__
+        original = genmat._product_sum
 
-        def counting_mul(a, b):
-            calls.append(1)
-            return original(a, b)
+        def counting_product_sum(table, pairs, budget):
+            calls.append(len(pairs))
+            return original(table, pairs, budget)
 
-        monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+        monkeypatch.setattr(genmat, "_product_sum", counting_product_sum)
         gens = trace_generators(space)
-        monkeypatch.setattr(Matrix, "__mul__", original)
+        monkeypatch.setattr(genmat, "_product_sum", original)
+        assert set(calls) == {1}  # one matrix product per call
         words = [tg.word.letters for tg in gens]
         assert words == [cw.letters for cw in _necklaces(s, n * n)]
         assert len(calls) == len({w[:k] for w in words for k in range(1, len(w) + 1)})
@@ -250,8 +283,6 @@ class TestCertificates:
             assert trace_of_product(m0, comm).is_zero
 
     def test_two_generators_matches_brute_force(self):
-        from itertools import combinations
-
         space = build_generic_space(2, 2)
         raw = []
         for rest in combinations(all_words(2, 2), 2):
@@ -282,13 +313,54 @@ class TestCertificates:
         basis = buchberger(relations_ideal(p, space), MonomialOrder.grevlex())
         words = certificate_words(2, 4, 2)
         expected = [(w, basis.normal_form(v)) for w, v in certificates(space, words)]
-        got = list(certificates(space, words, basis.normal_form))
+        got = list(certificates(space, words, basis.table))
         assert got == [(w, v) for w, v in expected if not v.is_zero]
         assert 0 < len(got) < len(expected)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(["fraction_plane", "fraction_cubic", "free2", "s3"]),
+           st.lists(st.lists(st.integers(0, 1), max_size=4).map(tuple), min_size=2, max_size=5,
+                    unique=True))
+    def test_values_match_the_oracle_route(self, name, words):
+        # the packed products against standard_identity and trace_of_product
+        # on Polynomial matrices, reduced only at the end; free2 reduces
+        # against an empty table, the fraction cases against bases with
+        # Fraction coefficients (every value of XY - 4/5 YX reduces to 0)
+        space, basis = reduced_space(name)
+        expected = []
+        for rest in combinations(words, 2):
+            alt = standard_identity(2, [word_matrix(space, w) for w in rest])
+            for m0 in words:
+                value = basis.normal_form(trace_of_product(word_matrix(space, m0), alt))
+                if not value.is_zero:
+                    expected.append(((m0,) + rest, value))
+        assert list(certificates(space, words, basis.table)) == expected
+
+    @pytest.mark.parametrize("name", ["fraction_plane", "fraction_cubic", "free2", "s3"])
+    def test_trace_generators_match_the_oracle_route(self, name):
+        space, basis = reduced_space(name)
+        gens = trace_generators(space, basis.table)
+        assert [tg.value for tg in gens] == \
+            [basis.normal_form(word_matrix(space, tg.word.letters).trace()) for tg in gens]
+        assert any(not tg.value.is_zero for tg in gens)
 
     def test_needs_dimension_two(self):
         with pytest.raises(ValueError):
             next(certificates(build_generic_space(1, 1), all_words(1, 2)))
+
+
+PRESENTATIONS = {
+    "fraction_plane": "generators: X, Y\nrelation: X*Y - 4/5*Y*X\n",
+    "fraction_cubic": "generators: X, Y\nrelation: X*Y*X - 2/3*Y\n",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reduced_space(name):
+    """The n = 2 space and relations basis of a two-generator presentation."""
+    p = parse_presentation(PRESENTATIONS[name]) if name in PRESENTATIONS else load(name)
+    space = build_generic_space(2, 2)
+    return space, buchberger(relations_ideal(p, space), GREVLEX)
 
 
 def has_power_factor(word, n):

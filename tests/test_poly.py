@@ -317,6 +317,31 @@ class TestDivisorTable:
         # x^3, x^2, x, y and 1: five terms taken off the heap
         assert budget.counters.normal_form_steps == 5
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(poly_strategy(R3, max_terms=4, max_exp=3, coeffs=MIXED_COEFF),
+                              poly_strategy(R3, max_terms=4, max_exp=3, coeffs=MIXED_COEFF)),
+                    max_size=4),
+           st.lists(poly_strategy(R3, max_terms=3, max_exp=2, coeffs=MIXED_COEFF), max_size=3),
+           st.sampled_from([GREVLEX, LEX, BLOCK_GREVLEX]))
+    def test_product_is_the_normal_form_of_the_sum_of_products(self, pairs, divisors, order):
+        # the cross terms share keys, on an empty table too
+        table = DivisorTable(divisors, order, R3)
+        budget = Budget()
+        terms = table.product([(table.pack(a), table.pack(b)) for a, b in pairs], budget)
+        total = sum((a * b for a, b in pairs), R3.zero)
+        assert table.polynomial(terms) == table.normal_form(total)
+        assert [k for k, _, _ in terms] == sorted({k for k, _, _ in terms})  # descending
+        if not table.entries:
+            assert budget.counters.normal_form_steps == 0
+
+    def test_empty_table_sums_equal_keys(self):
+        table = DivisorTable((), GREVLEX, R3)
+        terms = table.pack(X * Y + 2) + table.pack(Z - X * Y) + table.pack(X * Y * 3 - 2)
+        budget = Budget()
+        assert table.polynomial(table.remainder(terms, budget)) == X * Y * 3 + Z
+        assert len(table.remainder(terms)) == 2
+        assert budget.counters.normal_form_steps == 0
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_one_order_serves_rings_of_every_size(self, data):
@@ -400,6 +425,19 @@ class TestExponentLimit:
         with pytest.raises(ResourceLimitExceeded):
             table.add(u ** (MAX_EXPONENT + 1) - v)
         assert table.normal_form(v ** MAX_EXPONENT + u) == v ** MAX_EXPONENT + 1
+
+    def test_empty_table_rejects_products_past_the_limit(self):
+        u, v = U2, V2
+        table = DivisorTable((), LEX, R2)
+        half = table.pack(v ** 20000)
+        with pytest.raises(ResourceLimitExceeded) as info:
+            table.product([(half, half)])  # v^40000
+        assert info.value.kind == "degree"
+        with pytest.raises(ResourceLimitExceeded):
+            table.remainder(table.pack(u) + [(0, table.packing.guard, 1)])
+        # a product term past the limit that cancels is never read
+        assert table.product([(half, half), (half, table.pack(-v ** 20000 + u))]) == \
+            table.pack(u * v ** 20000)
 
     def test_term_past_the_limit_that_cancels_is_never_read(self):
         # lex u > w > v: u v^15000 and w v^15000 both rewrite to v^35000, with
