@@ -10,23 +10,24 @@ the rank of the trace form Tr(ab) of the regular representation: the form
 kills nilpotents and each point contributes exactly one to the rank.
 
 The algebra is built by closing the span of 1 under multiplication by the
-trace generators, which yields the matrices L_g of multiplication by each
-generator g.  Every basis element after the unit is b_i = b_p * g for an
-earlier b_p, so b_i * b_j = L_g(b_p * b_j): the structure table follows from
-those matrices without reducing any product of two basis elements.
-
+trace generators, on the packed terms of the locus basis's reduction kernel:
+each basis-times-generator product is reduced once, and its coordinates in
+the fraction-free echelon of the basis (`linalg.PolyEchelon`) are a column
+of the matrix L_g of multiplication by that generator g.  Every basis
+element after the unit is b_i = b_p * g for an earlier b_p, so the structure
+table follows from b_i * b_j = L_g(b_p * b_j), and the regular traces are
+summed as its rows are built.  The Gram matrix follows from the same
+matrices: phi_i(x) = Tr(b_i x) is phi_p o L_g, and phi_0 is the trace.
 Structure constants and Gram entries are Python ints wherever they are
-integral, and Fractions only where a denominator appears; the rank of the
-Gram matrix is computed fraction-free (see `linalg.matrix_rank`).
+integral, and the rank is computed fraction-free (`linalg.matrix_rank`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .decide import Outcome, PipelineRun
+from .decide import Outcome, PipelineRun, _Stopwatch
 from .genmat import TraceGenerator
 from .groebner import Budget, GroebnerBasis, ResourceLimitExceeded
 from .linalg import PolyEchelon, matrix_rank
@@ -41,21 +42,22 @@ class InfiniteRepresentations(Exception):
 class FiniteDimAlgebra:
     """The trace subalgebra of the coordinate ring modulo the locus ideal,
     with a linear basis (basis[0] is the unit) and structure constants
-    basis[i]*basis[j] = sum_l structure[i][j][l]*basis[l].
-
-    Each structure[i][j] is a dict {l: int | Fraction} of the nonzero
-    constants; a constant is an int unless the coordinates of a
-    basis-times-generator product have a denominator."""
+    basis[i]*basis[j] = sum_l structure[i][j][l]*basis[l], each
+    structure[i][j] a dict {l: int | Fraction} of the nonzero constants
+    (ints unless a basis-times-generator product has a denominator).
+    basis[i] = basis[p] * g_k for parents[i] = (p, k); columns[k][j] holds
+    the coordinates of basis[j] * g_k, column j of the matrix L_k; traces[i]
+    is the regular trace of basis[i]."""
 
     basis: tuple
     structure: tuple
+    parents: tuple
+    columns: tuple
+    traces: tuple
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def regular_trace(self, i: int) -> int | Fraction:
-        return sum(self.structure[i][k].get(k, 0) for k in range(self.dimension))
 
 
 def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
@@ -67,63 +69,69 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
     algebraic modulo the locus ideal; max_dim is a safety valve against
     being called on an infinite family.
 
-    The closure reduces every product basis[k] * g once, and those are the
-    only normal forms taken: their coordinates are column k of the matrix
-    L_g of multiplication by g.  Each new element is b_i = b_p * g mod the
-    locus for a parent p < i, so b_i * b_j = L_g (b_p * b_j), and the
-    structure constants follow row by row from row p.  This is exact, not a
-    shortcut: the algebra is commutative and associative, the closure has
-    checked that every basis-times-generator product lies in the span, and
-    the span contains 1, so the rows are the coordinates of the reduced
-    products b_i * b_j themselves.
+    The closure reduces every product basis[k] * g once, on packed terms,
+    and those are the only normal forms taken.  The structure table follows
+    row by row, b_i * b_j = L_g (b_p * b_j) for b_i = b_p * g.  This is
+    exact, not a shortcut: the algebra is commutative and associative, the
+    closure has checked that every basis-times-generator product lies in the
+    span, and the span contains 1, so the rows are the coordinates of the
+    reduced products b_i * b_j themselves.  Where b_j * g = e * b_l, entry j
+    of row i is e times entry l of row p, the same dict when e is 1.
     """
     budget = Budget.of(limits)
     ring = locus.ring
     if locus.is_unit:
         raise ValueError("the locus ideal is the unit ideal; the algebra is zero")
+    table = locus.table
     images = []
     for tg in generators:
-        nf = locus.normal_form(tg.value, budget)
-        if not nf.is_constant:
-            images.append(nf)
+        terms = table.remainder(table.pack(tg.value), budget)
+        if len(terms) > 1 or terms and terms[0][1]:  # not a constant
+            images.append([(k, p, _int_if_integral(c)) for k, p, c in terms])
     echelon = PolyEchelon()
-    echelon.insert(ring.one)
-    basis = [ring.one]
-    parents = [None]  # parents[i] = (p, g) with basis[i] = basis[p] * images[g]
+    elements = [table.pack(ring.one)]  # the basis as packed terms
+    echelon.insert(elements[0])
+    basis, parents = [ring.one], [None]
     columns = [[] for _ in images]  # columns[g][k]: coordinates of basis[k] * images[g]
     frontier = 0
-    while frontier < len(basis):
-        element = basis[frontier]
+    while frontier < len(elements):
         for g, image in enumerate(images):
             budget.tick()
-            product = locus.normal_form(element * image, budget)
+            product = table.product([(elements[frontier], image)], budget)
             status, value = echelon.insert(product)
             if status == "added":
-                basis.append(product)
+                elements.append([(k, p, _int_if_integral(c)) for k, p, c in product])
+                basis.append(table.polynomial(product))
                 parents.append((frontier, g))
                 columns[g].append({value: 1})
                 if len(basis) > max_dim:
                     raise ResourceLimitExceeded(
                         "basis", "quotient algebra dimension exceeded %d" % max_dim)
             else:
-                columns[g].append({k: _int_if_integral(c) for k, c in value.items()})
+                columns[g].append(value)
         frontier += 1
     d = len(basis)
     structure = [[{j: 1} for j in range(d)]] + [[None] * d for _ in range(1, d)]
+    traces = [d] + [0] * (d - 1)
     for i in range(1, d):
         budget.tick()
         p, g = parents[i]
-        column = columns[g]
-        row, source = structure[i], structure[p]
-        for j in range(i):
-            row[j] = structure[j][i]
+        column, row, source = columns[g], structure[i], structure[p]
+        row[:i] = [above[i] for above in structure[:i]]
         for j in range(i, d):
+            if len(column[j]) == 1:
+                (l, e), = column[j].items()
+                row[j] = source[l] if e == 1 else {m: e * c for m, c in source[l].items()}
+                continue
             out: dict = {}
             for k, c in source[j].items():
                 for l, e in column[k].items():
                     out[l] = out.get(l, 0) + c * e
             row[j] = {l: c for l, c in out.items() if c}
-    return FiniteDimAlgebra(tuple(basis), tuple(tuple(row) for row in structure))
+        traces[i] = _int_if_integral(sum(row[j].get(j, 0) for j in range(d)))
+    return FiniteDimAlgebra(tuple(basis), tuple(tuple(row) for row in structure),
+                            tuple(parents), tuple(tuple(column) for column in columns),
+                            tuple(traces))
 
 
 @dataclass(frozen=True)
@@ -133,19 +141,22 @@ class TraceFormReport:
 
 
 def trace_form(algebra: FiniteDimAlgebra, limits=None) -> TraceFormReport:
-    """Gram matrix Tr(b_i b_j) of the regular-representation trace form."""
+    """Gram matrix Tr(b_i b_j) of the regular-representation trace form:
+    row 0 is the traces, and row i is row p composed with L_g for
+    b_i = b_p * g, G[i][j] = sum_l L_g[l][j] G[p][l]."""
     budget = Budget.of(limits)
     d = algebra.dimension
-    traces = [algebra.regular_trace(l) for l in range(d)]
-    gram = [[None] * d for _ in range(d)]
-    for i in range(d):
+    gram = [list(algebra.traces)] + [[None] * d for _ in range(1, d)]
+    for i in range(1, d):
         budget.tick()
-        row = algebra.structure[i]
+        p, g = algebra.parents[i]
+        column, row, source = algebra.columns[g], gram[i], gram[p]
+        row[:i] = [above[i] for above in gram[:i]]
         for j in range(i, d):
             total = 0
-            for l, c in row[j].items():
-                total += c * traces[l]
-            gram[i][j] = gram[j][i] = _int_if_integral(total)
+            for l, c in column[j].items():
+                total += c * source[l]
+            row[j] = total if type(total) is int else _int_if_integral(total)
     gram = tuple(tuple(row) for row in gram)
     return TraceFormReport(gram, matrix_rank(gram, budget))
 
@@ -191,7 +202,7 @@ def count_from_run(run: PipelineRun, limits=None) -> CountReport:
         raise ResourceLimitExceeded(
             "time", verdict.inconclusive_reason or "decision did not complete")
     budget = run.budget if limits is None else Budget.of(limits)
-    with budget.stage("count"):
+    with _Stopwatch(budget, verdict.metrics.timings).stage("count"):
         report = count_classes(run.locus_basis, run.generators, budget)
     verdict.metrics.algebra_dimension = report.algebra_dimension
     verdict.metrics.gram_rank = report.rank

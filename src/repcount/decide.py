@@ -167,8 +167,8 @@ class Verdict:
 class _Stopwatch:
     """Times the stages and counts their engine work on the budget."""
 
-    def __init__(self, budget: Budget):
-        self.timings: dict = {}
+    def __init__(self, budget: Budget, timings: dict):
+        self.timings = timings  # stage -> seconds, summed over its entries
         self.current: str | None = None  # the last stage entered
         self.budget = budget
 
@@ -204,21 +204,21 @@ def minimal_polynomial(f: Polynomial, basis: GroebnerBasis, limits=None,
     if nf.is_constant:
         return MinimalPolynomial((-nf.constant_value(), Fraction(1)))
 
-    echelon = PolyEchelon()
-    echelon.insert(ring.one)
     table = basis.table
     factor, terms = table.pack(nf), table.pack(ring.one)
+    echelon = PolyEchelon()
+    echelon.insert(terms)
     for k in range(1, power_cap + 1):
         budget.tick()
         terms = table.product([(terms, factor)], budget)
-        power = table.polynomial(terms)
-        status, data = echelon.insert(power)
+        status, data = echelon.insert(terms)
         if status == "dependent":
-            coeffs = tuple(-data.get(i, Fraction(0)) for i in range(k)) + (Fraction(1),)
+            coeffs = tuple(-Fraction(data.get(i, 0)) for i in range(k)) + (Fraction(1),)
             return MinimalPolynomial(coeffs)
-        if power.num_terms() > term_cap:
+        if len(terms) > term_cap:
             break
-        if budget.max_degree is not None and power.total_degree() > budget.max_degree:
+        if budget.max_degree is not None and max(
+                sum(table.packing.unpack(p)) for _, p, _ in terms) > budget.max_degree:
             break
 
     y = ring.fresh_auxiliary("y")
@@ -366,9 +366,9 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
     p = decision_input.presentation
     budget = Budget(opts.limits)
     order = base_order(opts.order)
-    clock = _Stopwatch(budget)
     metrics = PipelineMetrics(n=n, s=p.num_generators, engine=budget.counters,
                               engine_by_stage=budget.stages)
+    clock = _Stopwatch(budget, metrics.timings)
 
     space = build_generic_space(n, p.num_generators)
     metrics.variables = space.ring.nvars()
@@ -429,7 +429,6 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
     except ResourceLimitExceeded as stop:
         run.verdict = Verdict(Outcome.INCONCLUSIVE, inconclusive_reason=str(stop),
                               inconclusive_stage=clock.current, metrics=metrics)
-    metrics.timings = dict(clock.timings)
     return run
 
 

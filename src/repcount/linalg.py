@@ -1,117 +1,115 @@
-"""Exact echelon bookkeeping over Q for polynomial coordinate vectors.
-
-Polynomials are treated as vectors over their monomial support.  The echelon
-keeps, for every pivot row, its expression in terms of the original sequence
-of inserted polynomials, so a new candidate either comes back as an exact
-linear combination of the originals or is added as a new row.
+"""Exact linear algebra over Q, fraction-free: `PolyEchelon`, the one
+echelon of the package, on the packed terms of the reduction kernel, and
+`matrix_rank`.  Both scale away denominators once, on input, and then work
+on Python ints, dividing each row by its content after every step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .groebner import Budget
-from .poly import Polynomial
 
 
-def _pivot_key(mono):
-    return (sum(mono), mono)
+def _integral(values: Iterable[tuple]) -> tuple:
+    """(den, {key: int}): den, the lcm of the denominators of the (key,
+    value) pairs, times each nonzero value."""
+    values = [(k, c) for k, c in values if c]
+    den = lcm(*(c.denominator for _, c in values))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in values}
 
 
 class PolyEchelon:
     """Incremental row reduction with combination tracking.
 
-    Indices are dense over the polynomials that were actually added (the
-    independent ones); dependent candidates never consume an index, so the
-    k-th added polynomial always has index k.  Combinations only ever
-    reference added indices.
+    A polynomial comes in as the terms (order key, packed exponents,
+    coefficient) of `poly.DivisorTable`, with distinct keys; only keys and
+    coefficients are read.  A row is two int dicts, its terms {key: c} and
+    its combination {index: c} of the added polynomials that sums to it;
+    its pivot is its smallest key, the largest monomial.  A candidate is
+    reduced pivot by pivot, smallest first, by row <- a*row - b*pivot_row
+    with a/b the two pivot coefficients in lowest terms.  Indices are dense
+    over the added (independent) polynomials: the k-th has index k.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot monomial -> (terms dict, combo dict index -> Fraction)
+        self.rows = {}  # pivot key -> (terms {key: int}, combo {index: int})
         self.count = 0  # independent rows added so far
 
-    def _eliminate(self, terms: dict, combo: dict):
-        while True:
-            hits = terms.keys() & self.rows.keys()
-            if not hits:
-                return terms, combo
-            pivot = max(hits, key=_pivot_key)
-            scale = terms[pivot]
-            row_terms, row_combo = self.rows[pivot]
-            for m, c in row_terms.items():
-                acc = terms.get(m, 0) - scale * c
-                if acc:
-                    terms[m] = acc
-                else:
-                    terms.pop(m, None)
-            for k, c in row_combo.items():
-                acc = combo.get(k, 0) - scale * c
-                if acc:
-                    combo[k] = acc
-                else:
-                    combo.pop(k, None)
-
-    def insert(self, f: Polynomial):
-        """Insert f; returns ("dependent", combo) with f = sum combo[k] *
-        added_k, or ("added", index) where index counts added rows."""
+    def insert(self, terms: Iterable[tuple]):
+        """Insert the polynomial with these terms; returns ("dependent",
+        combo) with f = sum combo[k] * added_k, each combo[k] an int where
+        it is integral and a Fraction otherwise, or ("added", index) where
+        index counts added rows."""
         index = self.count  # tentative; larger than every stored index
-        terms = {m: Fraction(c) for m, c in f.terms.items()}
-        combo = {index: Fraction(1)}
-        terms, combo = self._eliminate(terms, combo)
-        if not terms:
-            # f - sum over combo of added rows = 0 (combo includes f itself)
-            del combo[index]
-            return "dependent", {k: -c for k, c in combo.items()}
-        pivot = max(terms, key=_pivot_key)
-        scale = terms[pivot]
-        terms = {m: c / scale for m, c in terms.items()}
-        combo = {k: c / scale for k, c in combo.items()}
-        self.rows[pivot] = (terms, combo)
+        den, row = _integral((k, c) for k, _, c in terms)
+        combo = {index: den}  # row = den * f
+        rows = self.rows
+        heap = list(row.keys() & rows.keys())
+        heapify(heap)
+        while heap:
+            pivot = heappop(heap)
+            b = row.get(pivot)
+            if b is None:
+                continue  # cancelled
+            pivot_terms, pivot_combo = rows[pivot]
+            for k in (pivot_terms.keys() - row.keys()) & rows.keys():
+                heappush(heap, k)
+            a = pivot_terms[pivot]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = _combine(a, row, b, pivot_terms)
+            combo = _combine(a, combo, b, pivot_combo)
+            content = gcd(*row.values(), *combo.values())
+            if content != 1:
+                row, combo = _divide(row, content), _divide(combo, content)
+        if not row:
+            # 0 = sum over combo of added rows (combo includes f itself)
+            own = combo.pop(index)
+            return "dependent", {k: -c // own if not c % own else Fraction(-c, own)
+                                 for k, c in combo.items()}
+        rows[min(row)] = (row, combo)
         self.count += 1
         return "added", index
 
-    def express(self, f: Polynomial):
-        """Write f in terms of the originals, or None if independent."""
-        terms = {m: Fraction(c) for m, c in f.terms.items()}
-        combo: dict = {}
-        terms, combo = self._eliminate(terms, combo)
-        if terms:
-            return None
-        return {k: -c for k, c in combo.items()}
+
+def _combine(a: int, row: dict, b: int, other: dict) -> dict:
+    """a*row - b*other without its zero entries; row itself when a is 1."""
+    if a != 1:
+        row = {k: a * c for k, c in row.items()}
+    for k, c in other.items():
+        acc = row.get(k, 0) - b * c
+        if acc:
+            row[k] = acc
+        else:
+            del row[k]
+    return row
 
 
-def _primitive(row: dict) -> dict:
-    """row divided by the gcd of its entries."""
-    content = gcd(*row.values())
-    return row if content == 1 else {k: c // content for k, c in row.items()}
+def _divide(row: dict, content: int) -> dict:
+    return {k: c // content for k, c in row.items()}
 
 
 def matrix_rank(rows: Sequence[Sequence[int | Fraction]], limits=None) -> int:
-    """Rank of a rational matrix, computed fraction-free on sparse rows.
-
-    Each row is multiplied by the lcm of its entries' denominators, which
-    does not change the rank, and kept as a dict {column: int} of its
-    nonzero entries.  Rows are reduced one after another against the pivot
-    rows kept so far, leading column first, by row <- a*row - b*pivot with
-    a/b the two leading entries in lowest terms; after every such operation
-    the row is divided by its content (the gcd of its entries), so entries
-    stay near the size of the minors they represent.  A row that reduces to
-    zero adds nothing; any other becomes the pivot row of its leading column,
-    and the rank is the number of pivot rows.  With limits, the budget is
-    checked before each row operation.
+    """Rank of a rational matrix.  Each row, a dict {column: int} of its
+    nonzero entries times the lcm of their denominators, is reduced against
+    the pivot rows kept so far, leading column first, as in `PolyEchelon`,
+    and divided by its content, which keeps the entries near the size of the
+    minors they stand for; a row left nonzero becomes the pivot row of its
+    leading column.  With limits, the budget is checked before each row
+    operation.
     """
     budget = Budget.of(limits)
     pivots: dict = {}  # leading column -> primitive integer row
     for values in rows:
-        row = {k: c for k, c in enumerate(values) if c}
-        if not row:
-            continue
-        den = lcm(*(c.denominator for c in row.values()))
-        row = _primitive({k: c.numerator * (den // c.denominator) for k, c in row.items()})
+        _, row = _integral(enumerate(values))
         while row:
+            content = gcd(*row.values())
+            if content != 1:
+                row = _divide(row, content)
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
@@ -120,15 +118,5 @@ def matrix_rank(rows: Sequence[Sequence[int | Fraction]], limits=None) -> int:
             budget.tick()
             a, b = pivot[col], row[col]
             g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {k: a * c for k, c in row.items()}
-            for k, c in pivot.items():
-                acc = row.get(k, 0) - b * c
-                if acc:
-                    row[k] = acc
-                else:
-                    del row[k]
-            if row:
-                row = _primitive(row)
+            row = _combine(a // g, row, b // g, pivot)
     return len(pivots)

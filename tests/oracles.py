@@ -309,3 +309,72 @@ def dense_fraction_rank(rows: Sequence[Sequence[Fraction]], limits=None) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def _pivot_key(mono):
+    return (sum(mono), mono)
+
+
+class FractionEchelon:
+    """Incremental row reduction over Fractions on Polynomials, with
+    combination tracking: the reference for the fraction-free
+    `linalg.PolyEchelon` on packed terms.
+
+    Rows are keyed by their pivot monomial, the largest by total degree and
+    then exponent tuple.  Indices are dense over the polynomials that were
+    actually added, as in the package's echelon, so both give the same
+    statuses and the same (unique) combinations.
+    """
+
+    def __init__(self):
+        self.rows = {}  # pivot monomial -> (terms dict, combo dict index -> Fraction)
+        self.count = 0  # independent rows added so far
+
+    def _eliminate(self, terms: dict, combo: dict):
+        while True:
+            hits = terms.keys() & self.rows.keys()
+            if not hits:
+                return terms, combo
+            pivot = max(hits, key=_pivot_key)
+            scale = terms[pivot]
+            row_terms, row_combo = self.rows[pivot]
+            for m, c in row_terms.items():
+                acc = terms.get(m, 0) - scale * c
+                if acc:
+                    terms[m] = acc
+                else:
+                    terms.pop(m, None)
+            for k, c in row_combo.items():
+                acc = combo.get(k, 0) - scale * c
+                if acc:
+                    combo[k] = acc
+                else:
+                    combo.pop(k, None)
+
+    def insert(self, f: Polynomial):
+        """Insert f; returns ("dependent", combo) with f = sum combo[k] *
+        added_k, or ("added", index) where index counts added rows."""
+        index = self.count  # tentative; larger than every stored index
+        terms = {m: Fraction(c) for m, c in f.terms.items()}
+        combo = {index: Fraction(1)}
+        terms, combo = self._eliminate(terms, combo)
+        if not terms:
+            # f - sum over combo of added rows = 0 (combo includes f itself)
+            del combo[index]
+            return "dependent", {k: -c for k, c in combo.items()}
+        pivot = max(terms, key=_pivot_key)
+        scale = terms[pivot]
+        terms = {m: c / scale for m, c in terms.items()}
+        combo = {k: c / scale for k, c in combo.items()}
+        self.rows[pivot] = (terms, combo)
+        self.count += 1
+        return "added", index
+
+    def express(self, f: Polynomial):
+        """Write f in terms of the originals, or None if independent."""
+        terms = {m: Fraction(c) for m, c in f.terms.items()}
+        combo: dict = {}
+        terms, combo = self._eliminate(terms, combo)
+        if terms:
+            return None
+        return {k: -c for k, c in combo.items()}

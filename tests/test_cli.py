@@ -94,6 +94,14 @@ class TestCount:
         assert out.splitlines()[0] == "2"
         assert "trace algebra dimension: 2" in out
 
+    def test_verbose_count_times_the_count_stage(self, capsys):
+        code, out, err = run_cli(capsys, "count", alg("s3"), "-n", "2", "-v")
+        assert code == 0
+        stages = [line.split()[1] for line in out.splitlines() if line.startswith("stage ")]
+        assert stages == ["algebraic", "certificates", "count", "locus", "relations"]
+        code, out, err = run_cli(capsys, "decide", alg("s3"), "-n", "2", "-v")
+        assert "stage count" not in out
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -168,6 +176,13 @@ class TestJson:
         assert after["normal_form_steps"] > before["normal_form_steps"]
         assert {k: v for k, v in after.items() if k != "normal_form_steps"} == \
             {k: v for k, v in before.items() if k != "normal_form_steps"}
+
+    def test_timings_cover_the_count_stage(self, capsys):
+        counted = json.loads(run_cli(capsys, "count", alg("s3"), "-n", "2", "--json")[1])
+        assert list(counted["timings_ms"]) == ["algebraic", "certificates", "count", "locus",
+                                               "relations"]
+        decided = json.loads(run_cli(capsys, "decide", alg("s3"), "-n", "2", "--json")[1])
+        assert "count" not in decided["timings_ms"]
 
     def test_infinite_payload(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("qplane"), "-n", "2", "--json")
@@ -287,7 +302,7 @@ class TestDumps:
 # Commutative, so at n = 1 it is finite.  Deciding takes about 0.5 s on a
 # 2-core Xeon (minimal polynomials of degree up to 152, hence the raised
 # --max-degree); the trace algebra has dimension 2048, and counting it
-# without a budget takes about 22 s there, far beyond the budget.
+# without a budget takes about 6 s there, still far beyond the budget.
 SLOW_COUNT = """generators: x, y, z, w, v
 relation: x^4 - y*z - 1
 relation: y^4 - x*z - 1
@@ -328,6 +343,8 @@ class TestBudget:
         assert payload["verdict"] == "finite"
         assert payload["count"] is None
         assert err == ""
+        # the overrun count stage is timed too, up to the deadline it hit
+        assert 0 < payload["timings_ms"]["count"] <= 2300
 
     def test_count_stage_overrun_keeps_the_dumps(self, capsys, tmp_path):
         path = tmp_path / "slow_count.alg"

@@ -18,13 +18,12 @@ from repcount.count import (
     trace_form,
 )
 from repcount.decide import DecisionInput, Outcome, decide_finiteness, run_pipeline
-from repcount.groebner import GroebnerBasis, ResourceLimitExceeded, ResourceLimits, buchberger
-from repcount.linalg import PolyEchelon
-from repcount.poly import MonomialOrder
+from repcount.groebner import ResourceLimitExceeded, ResourceLimits, buchberger
+from repcount.poly import DivisorTable, MonomialOrder
 from repcount.presentation import parse_presentation
 
 from conftest import ALGEBRAS
-from oracles import dense_fraction_rank, multiplication_matrix
+from oracles import FractionEchelon, dense_fraction_rank, multiplication_matrix
 
 GREVLEX = MonomialOrder.grevlex()
 
@@ -118,7 +117,7 @@ class TestAlgebraStructure:
         # multiplication by 1 is the identity matrix
         ident = multiplication_matrix(algebra, 0)
         assert ident == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        assert algebra.regular_trace(0) == algebra.dimension
+        assert algebra.traces[0] == algebra.dimension
 
     def test_gram_is_symmetric(self, pipelines):
         run = pipelines("s3", 1)
@@ -143,7 +142,7 @@ def direct_algebra(locus, generators):
     ring = locus.ring
     images = [nf for nf in (locus.normal_form(tg.value) for tg in generators)
               if not nf.is_constant]
-    echelon = PolyEchelon()
+    echelon = FractionEchelon()
     echelon.insert(ring.one)
     basis = [ring.one]
     frontier = 0
@@ -188,6 +187,17 @@ relation: 3*y^2 - x
 """
 
 
+# points (r, r + s) for x roots r in 2, 2, 1, 3, -1, -1 and lines y = x + s
+# for s in -4, -2, -2, 2: 24 dimensions, 12 points, so the rank of the trace
+# form is below the dimension; the relations are scaled by 2/3 and -5/2, and
+# the monic locus basis has Fraction tails
+TRIANGULAR = """generators: x, y
+relation: 2/3*x^6 - 4*x^5 + 16/3*x^4 + 20/3*x^3 - 14*x^2 - 8/3*x + 8
+relation: -5/2*x^4 + 10*x^3*y - 15*x^2*y^2 + 10*x*y^3 - 5/2*y^4 + 15*x^3 - 45*x^2*y + 45*x*y^2 - 15*y^3 - 10*x^2 + 20*x*y - 10*y^2 - 60*x + 60*y + 80
+relation: x*y - y*x
+"""
+
+
 # at n = 1 these have no finite trace algebra: three infinite families, and
 # the Weyl algebra, whose locus is the unit ideal
 NO_ALGEBRA_AT_N1 = {"free2", "qplane", "commuting_plane", "weyl"}
@@ -199,6 +209,7 @@ def _oracle_cases():
     cases.append(pytest.param((ALGEBRAS / "s3.alg").read_text(), 2, id="s3-n2"))
     cases.append(pytest.param(C4_C6, 1, id="c4xc6-n1"))
     cases.append(pytest.param(NON_INTEGRAL, 1, id="non-integral-n1"))
+    cases.append(pytest.param(TRIANGULAR, 1, id="triangular-n1"))
     return cases
 
 
@@ -225,6 +236,11 @@ class TestStructureOracle:
         assert report.algebra_dimension == 24
         assert report.count == 24
 
+    def test_triangular_rank_is_below_the_dimension(self):
+        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(TRIANGULAR), 1)))
+        assert report.algebra_dimension == 24
+        assert report.count == 12
+
     def test_integral_constants_are_ints(self):
         report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))
         constants = [c for row in report.algebra.structure for entry in row
@@ -245,17 +261,22 @@ class TestStructureOracle:
         assert report.count == dense_fraction_rank(gram) == 4
 
     def test_normal_forms_are_one_per_closure_product(self, monkeypatch):
+        # every reduction, a Polynomial's normal form or a product of packed
+        # terms, ends in one DivisorTable.remainder call
         run = run_pipeline(DecisionInput(parse_presentation(C4_C6), 1))
         calls = []
-        original = GroebnerBasis.normal_form
+        original = DivisorTable.remainder
 
-        def counting(self, f, budget=None):
-            calls.append(f)
-            return original(self, f, budget)
+        def counting(self, terms, budget=None):
+            calls.append(terms)
+            return original(self, terms, budget)
 
-        monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+        monkeypatch.setattr(DivisorTable, "remainder", counting)
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
         k, d = len(run.generators), algebra.dimension
+        # one per generator, then one per product of a basis element and a
+        # nonconstant generator image (one column of L_g each)
+        assert len(calls) == k + d * len(algebra.columns)
         assert 0 < len(calls) <= k * (d + 1)
 
 

@@ -12,32 +12,53 @@ from hypothesis import strategies as st
 
 from repcount.groebner import Budget, ResourceLimitExceeded, ResourceLimits
 from repcount.linalg import PolyEchelon, matrix_rank
-from repcount.poly import PolyRing, Polynomial, auxiliary
+from repcount.poly import GREVLEX, DivisorTable, PolyRing, auxiliary
 
-from oracles import dense_fraction_rank
+from oracles import FractionEchelon, dense_fraction_rank
 
 R = PolyRing.ranked([auxiliary("t", i) for i in range(3)])
 X, Y, Z = (R.variable(v) for v in R.variables)
+# packs a polynomial into the terms (order key, packed exponents,
+# coefficient) that the reduction kernel gives the echelon
+packed = DivisorTable((), GREVLEX, R).pack
 
 
 class TestEchelon:
     def test_detects_dependence_with_certificate(self):
         ech = PolyEchelon()
-        assert ech.insert(X + Y) == ("added", 0)
-        assert ech.insert(X - Y) == ("added", 1)
-        status, combo = ech.insert(X * 2)
+        assert ech.insert(packed(X + Y)) == ("added", 0)
+        assert ech.insert(packed(X - Y)) == ("added", 1)
+        status, combo = ech.insert(packed(X * 2))
         assert status == "dependent"
         # 2x = 1*(x+y) + 1*(x-y)
-        assert combo == {0: Fraction(1), 1: Fraction(1)}
+        assert combo == {0: 1, 1: 1}
+        assert all(type(c) is int for c in combo.values())
 
     def test_zero_is_dependent_on_nothing(self):
         ech = PolyEchelon()
-        status, combo = ech.insert(R.zero)
+        assert ech.insert([]) == ("dependent", {})
+        ech.insert(packed(X))
+        assert ech.insert([]) == ("dependent", {})
+
+    def test_rational_combination(self):
+        ech = PolyEchelon()
+        ech.insert(packed(X * 2 + Y * 4))
+        ech.insert(packed(Y * 3))
+        status, combo = ech.insert(packed(X + Y * Fraction(1, 5)))
+        # x + y/5 = 1/2 (2x + 4y) - 3/5 (3y)
         assert status == "dependent"
-        assert combo == {}
+        assert combo == {0: Fraction(1, 2), 1: Fraction(-3, 5)}
+        assert all(type(c) is Fraction for c in combo.values())
+
+    def test_integral_fraction_coefficients(self):
+        ech = PolyEchelon()
+        assert ech.insert([(k, p, Fraction(c)) for k, p, c in packed(X * 3 + 6)]) \
+            == ("added", 0)
+        assert ech.insert([(k, p, Fraction(c)) for k, p, c in packed(X * 2 + 4)]) \
+            == ("dependent", {0: Fraction(2, 3)})
 
     def test_express(self):
-        ech = PolyEchelon()
+        ech = FractionEchelon()
         ech.insert(X)
         ech.insert(Y + 1)
         combo = ech.express(X * 3 - Y - 1)
@@ -52,7 +73,7 @@ class TestEchelon:
         ech = PolyEchelon()
         inserted = []
         for f in polys:
-            status, data = ech.insert(f)
+            status, data = ech.insert(packed(f))
             if status == "added":
                 inserted.append((data, f))
             else:
@@ -61,6 +82,49 @@ class TestEchelon:
                     original = next(g for i, g in inserted if i == idx)
                     rebuilt = rebuilt + original * coeff
                 assert rebuilt == f
+
+
+MONOMIALS = [X ** 2, X * Y, Y * Z, X, Y, Z, R.one]
+COEFF = st.one_of(st.integers(-3, 3), st.integers(-(2 ** 70), 2 ** 70),
+                  st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                  st.builds(Fraction, st.integers(-9, 9)))  # integral Fractions
+
+
+@st.composite
+def polynomial_sequences(draw):
+    """Polynomials on a few monomials, with rational, wide and integral
+    Fraction coefficients, zero polynomials and rational combinations of
+    earlier ones mixed in, so that many insertions are dependent."""
+    polys = []
+    for kind in draw(st.lists(st.sampled_from(["new", "zero", "combination"]),
+                              min_size=1, max_size=10)):
+        if kind == "zero":
+            polys.append(R.zero)
+        elif kind == "combination" and polys:
+            picks = draw(st.lists(st.sampled_from(polys), min_size=1, max_size=3))
+            f = R.zero
+            for g in picks:
+                f = f + g * draw(COEFF)
+            polys.append(f)
+        else:
+            f = R.zero
+            for m in draw(st.lists(st.sampled_from(MONOMIALS), min_size=1, max_size=4)):
+                f = f + m * draw(COEFF)
+            polys.append(f)
+    return polys
+
+
+class TestPackedAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(polynomial_sequences())
+    def test_same_status_and_combination(self, polys):
+        packed_echelon, reference = PolyEchelon(), FractionEchelon()
+        for f in polys:
+            status, data = packed_echelon.insert(packed(f))
+            assert (status, data) == reference.insert(f)
+            if status == "dependent":
+                assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                           for c in data.values())
 
 
 class TestMatrixRank:
