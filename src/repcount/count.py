@@ -13,13 +13,13 @@ The algebra is built by closing the span of 1 under multiplication by the
 trace generators, on the packed terms of the locus basis's reduction kernel:
 each basis-times-generator product is reduced once, and its coordinates in
 the fraction-free echelon of the basis (`linalg.PolyEchelon`) are a column
-of the matrix L_g of multiplication by that generator g.  Every basis
-element after the unit is b_i = b_p * g for an earlier b_p, so the structure
-table follows from b_i * b_j = L_g(b_p * b_j), and the regular traces are
-summed as its rows are built.  The Gram matrix follows from the same
-matrices: phi_i(x) = Tr(b_i x) is phi_p o L_g, and phi_0 is the trace.
-Structure constants and Gram entries are Python ints wherever they are
-integral, and the rank is computed fraction-free (`linalg.matrix_rank`).
+of the matrix L_g of multiplication by that generator g.  These matrices are
+all the count reads.  Every basis element after the unit is b_i = b_p * g
+for an earlier b_p, so the regular traces follow from them by a backward
+recurrence over the b_i (`build_quotient_algebra`), and the Gram matrix by
+the same recurrence run forwards: phi_i(x) = Tr(b_i x) is phi_p o L_g, and
+phi_0 is the trace.  Traces and Gram entries are Python ints wherever they
+are integral, and the rank is computed fraction-free (`linalg.matrix_rank`).
 """
 
 from __future__ import annotations
@@ -41,16 +41,13 @@ class InfiniteRepresentations(Exception):
 @dataclass(frozen=True)
 class FiniteDimAlgebra:
     """The trace subalgebra of the coordinate ring modulo the locus ideal,
-    with a linear basis (basis[0] is the unit) and structure constants
-    basis[i]*basis[j] = sum_l structure[i][j][l]*basis[l], each
-    structure[i][j] a dict {l: int | Fraction} of the nonzero constants
-    (ints unless a basis-times-generator product has a denominator).
-    basis[i] = basis[p] * g_k for parents[i] = (p, k); columns[k][j] holds
-    the coordinates of basis[j] * g_k, column j of the matrix L_k; traces[i]
-    is the regular trace of basis[i]."""
+    with a linear basis (basis[0] is the unit), basis[i] = basis[p] * g_k
+    for parents[i] = (p, k).  columns[k][j], a dict {l: int | Fraction} of
+    the nonzero coordinates of basis[j] * g_k, is column j of the matrix
+    L_k (ints unless a basis-times-generator product has a denominator);
+    traces[i] is the regular trace of basis[i]."""
 
     basis: tuple
-    structure: tuple
     parents: tuple
     columns: tuple
     traces: tuple
@@ -60,23 +57,25 @@ class FiniteDimAlgebra:
         return len(self.basis)
 
 
+MAX_DIMENSION = 4096  # the closure's safety valve against an infinite family
+
+
 def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
-                           limits=None, max_dim: int = 4096) -> FiniteDimAlgebra:
+                           limits=None) -> FiniteDimAlgebra:
     """Close the span of 1 under multiplication by the trace generators.
 
     Generators whose normal form is a constant cannot enlarge the span and
     are skipped.  The closure terminates exactly when every generator is
-    algebraic modulo the locus ideal; max_dim is a safety valve against
-    being called on an infinite family.
+    algebraic modulo the locus ideal; past MAX_DIMENSION elements it raises
+    ResourceLimitExceeded("basis").  It reduces every product basis[k] * g
+    once, on packed terms, and takes no other normal form.
 
-    The closure reduces every product basis[k] * g once, on packed terms,
-    and those are the only normal forms taken.  The structure table follows
-    row by row, b_i * b_j = L_g (b_p * b_j) for b_i = b_p * g.  This is
-    exact, not a shortcut: the algebra is commutative and associative, the
-    closure has checked that every basis-times-generator product lies in the
-    span, and the span contains 1, so the rows are the coordinates of the
-    reduced products b_i * b_j themselves.  Where b_j * g = e * b_l, entry j
-    of row i is e times entry l of row p, the same dict when e is 1.
+    The traces follow from the multiplication matrices alone, backwards:
+    S_i starts as the coordinate functional e_i*, and for i = d - 1 down to
+    1, with b_i = b_p * g, S_i o L_g is added to S_p.  A child comes after
+    its parent, so S_i is complete when it is read, and S_0 ends as
+    x -> Tr(L_x) = sum_j e_j*(b_j x), since L_{b_i} = L_{b_p} L_g in a
+    commutative algebra and the closure has checked that the span is closed.
     """
     budget = Budget.of(limits)
     ring = locus.ring
@@ -87,7 +86,7 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
     for tg in generators:
         terms = table.remainder(table.pack(tg.value), budget)
         if len(terms) > 1 or terms and terms[0][1]:  # not a constant
-            images.append([(k, p, _int_if_integral(c)) for k, p, c in terms])
+            images.append(terms)
     echelon = PolyEchelon()
     elements = [table.pack(ring.one)]  # the basis as packed terms
     echelon.insert(elements[0])
@@ -100,38 +99,35 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
             product = table.product([(elements[frontier], image)], budget)
             status, value = echelon.insert(product)
             if status == "added":
-                elements.append([(k, p, _int_if_integral(c)) for k, p, c in product])
+                elements.append(product)
                 basis.append(table.polynomial(product))
                 parents.append((frontier, g))
                 columns[g].append({value: 1})
-                if len(basis) > max_dim:
+                if len(basis) > MAX_DIMENSION:
                     raise ResourceLimitExceeded(
-                        "basis", "quotient algebra dimension exceeded %d" % max_dim)
+                        "basis", "quotient algebra dimension exceeded %d" % MAX_DIMENSION)
             else:
                 columns[g].append(value)
         frontier += 1
     d = len(basis)
-    structure = [[{j: 1} for j in range(d)]] + [[None] * d for _ in range(1, d)]
-    traces = [d] + [0] * (d - 1)
-    for i in range(1, d):
+    rows = [[{} for _ in range(d)] for _ in columns]  # rows[g][l]: {k: L_g[l][k]}
+    for row, column in zip(rows, columns):
+        for k, entries in enumerate(column):
+            for l, c in entries.items():
+                row[l][k] = c
+    functionals = [{i: 1} for i in range(d)]  # S_i, as {k: S_i(b_k)}
+    for i in range(d - 1, 0, -1):
         budget.tick()
         p, g = parents[i]
-        column, row, source = columns[g], structure[i], structure[p]
-        row[:i] = [above[i] for above in structure[:i]]
-        for j in range(i, d):
-            if len(column[j]) == 1:
-                (l, e), = column[j].items()
-                row[j] = source[l] if e == 1 else {m: e * c for m, c in source[l].items()}
-                continue
-            out: dict = {}
-            for k, c in source[j].items():
-                for l, e in column[k].items():
-                    out[l] = out.get(l, 0) + c * e
-            row[j] = {l: c for l, c in out.items() if c}
-        traces[i] = _int_if_integral(sum(row[j].get(j, 0) for j in range(d)))
-    return FiniteDimAlgebra(tuple(basis), tuple(tuple(row) for row in structure),
-                            tuple(parents), tuple(tuple(column) for column in columns),
-                            tuple(traces))
+        target, row = functionals[p], rows[g]
+        for l, s in functionals[i].items():
+            for k, c in row[l].items():
+                target[k] = target.get(k, 0) + s * c
+        functionals[i] = None
+    trace = functionals[0]
+    traces = tuple(_int_if_integral(trace.get(k, 0)) for k in range(d))
+    return FiniteDimAlgebra(tuple(basis), tuple(parents),
+                            tuple(tuple(column) for column in columns), traces)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class CountReport:
 
 
 def count_classes(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
-                  limits=None, max_dim: int = 4096) -> CountReport:
+                  limits=None) -> CountReport:
     """Exact number of classes over the algebraic closure.
 
     The unit locus ideal means no irreducible representation exists at all.
@@ -182,7 +178,7 @@ def count_classes(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
     if locus.is_unit:
         return CountReport(0, 0, (), 0)
     budget = Budget.of(limits)
-    algebra = build_quotient_algebra(locus, generators, budget, max_dim)
+    algebra = build_quotient_algebra(locus, generators, budget)
     report = trace_form(algebra, budget)
     return CountReport(report.rank, algebra.dimension, report.gram, report.rank, algebra)
 

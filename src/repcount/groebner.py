@@ -296,8 +296,8 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
 
     def insert(terms: list) -> bool:
         """Add the primitive part of the remainder; True when it is a constant,
-        so the ideal is the unit ideal.  A Fraction among its coefficients may
-        be integral, so they go by numerator and denominator, as ints do too."""
+        so the ideal is the unit ideal.  Its coefficients are ints and
+        Fractions, so they go by numerator and denominator, as ints do too."""
         denom = math.lcm(*(c.denominator for _, _, c in terms))
         terms = [(k, p, c.numerator * (denom // c.denominator)) for k, p, c in terms]
         lead = min(terms)

@@ -581,10 +581,11 @@ class DivisorTable:
     lookup, and the divisor scan one subtraction and one mask per divisor.
     Exponents are exact up to MAX_EXPONENT; a term past it raises
     ResourceLimitExceeded("degree") when it is read or taken off the heap,
-    never a wrong remainder.  Integral coefficients are ints, and the
-    reduction stays on ints wherever the leading coefficient divides the
-    term it cancels; Fractions appear only where a division is inexact.  The
-    result is exactly the Fraction computation's.
+    never a wrong remainder.  Integral coefficients are ints, in the table
+    and in every result, and the reduction stays on ints wherever the
+    leading coefficient divides the term it cancels; Fractions appear only
+    where a division is inexact.  The result is exactly the Fraction
+    computation's.
 
     Given a budget, the reduction ticks it once per step, and once per term
     on a step with a Fraction multiplier, since Fraction arithmetic on large
@@ -660,7 +661,8 @@ class DivisorTable:
     def remainder(self, terms: Iterable[tuple], budget=None) -> list:
         """The remainder of the sum of the terms, as terms in descending
         order.  A coefficient is an int or a Fraction, which may be
-        integral, and terms may share a key.  On an empty table the
+        integral, and terms may share a key; the remainder's coefficients
+        are ints wherever they are integral.  On an empty table the
         remainder is the sum, and no step is counted."""
         coeff: dict = {}
         expo: dict = {}  # key -> packed exponents, for every key put on the heap
@@ -694,7 +696,7 @@ class DivisorTable:
                 if not shift & guard:  # the leading monomial divides m
                     break
             else:
-                out.append((k, m, c))
+                out.append((k, m, c if type(c) is int else _int_if_integral(c)))
                 continue
             _, lk, lc, tail = entry
             if lc == 1:

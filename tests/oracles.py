@@ -6,7 +6,6 @@ from itertools import chain, product
 from math import gcd
 from typing import Iterable, Sequence
 
-from repcount.count import FiniteDimAlgebra
 from repcount.genmat import GenericMatrixSpace
 from repcount.groebner import (
     Budget,
@@ -233,12 +232,13 @@ def word_matrix(space: GenericMatrixSpace, word: Sequence[int]) -> Matrix:
     return out
 
 
-def multiplication_matrix(algebra: FiniteDimAlgebra, i: int) -> tuple:
-    """Matrix of multiplication by basis[i], rows indexed by target."""
-    d = algebra.dimension
+def multiplication_matrix(structure: Sequence[Sequence[dict]], i: int) -> tuple:
+    """Matrix of multiplication by basis[i], rows indexed by target, from a
+    structure table: basis[i] * basis[k] = sum_l structure[i][k][l] * basis[l]."""
+    d = len(structure)
     rows = [[Fraction(0)] * d for _ in range(d)]
     for k in range(d):
-        for l, c in algebra.structure[i][k].items():
+        for l, c in structure[i][k].items():
             rows[l][k] = c
     return tuple(tuple(r) for r in rows)
 

@@ -5,11 +5,16 @@ with basis (1, x) of Q[x]/(f) the form is Tr(b_i b_j) of the regular
 representation, e.g. for x^2 - x: Tr(1) = 2, Tr(x) = 1, Tr(x^2) = 1.
 """
 
+import json
 import time
+import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from repcount import count
+from repcount.cli import main
 from repcount.count import (
     InfiniteRepresentations,
     build_quotient_algebra,
@@ -114,8 +119,10 @@ class TestAlgebraStructure:
         run = pipelines("idempotent", 1)
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
         assert algebra.dimension == 2
+        assert algebra.basis[0] == run.locus_basis.ring.one and algebra.parents[0] is None
         # multiplication by 1 is the identity matrix
-        ident = multiplication_matrix(algebra, 0)
+        _, _, structure = direct_algebra(run.locus_basis, run.generators)
+        ident = multiplication_matrix(structure, 0)
         assert ident == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         assert algebra.traces[0] == algebra.dimension
 
@@ -131,14 +138,18 @@ class TestAlgebraStructure:
     def test_idempotent_structure_constants(self, pipelines):
         run = pipelines("idempotent", 1)
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
-        # basis is (1, x) with x*x = x
-        assert algebra.structure[1][1] == {1: Fraction(1)}
+        # basis is (1, x) with x*x = x: both columns of L_x are x
+        assert algebra.parents == (None, (0, 0))
+        assert algebra.columns == (({1: 1}, {1: 1}),)
+        assert algebra.traces == (2, 1)
 
 
 def direct_algebra(locus, generators):
-    """The structure table the slow way: close the span of 1 under the
-    generators, then reduce every product of two basis elements and read off
-    its coordinates.  Independent of the multiplication-table recurrence."""
+    """The algebra the slow way: close the span of 1 under the generators,
+    then reduce every product of a basis element with a generator image and
+    every product of two basis elements, and read off their coordinates.
+    Returns the basis, the columns of the multiplication matrices L_g and
+    the structure table.  Independent of the trace recurrence."""
     ring = locus.ring
     images = [nf for nf in (locus.normal_form(tg.value) for tg in generators)
               if not nf.is_constant]
@@ -152,21 +163,26 @@ def direct_algebra(locus, generators):
             if echelon.insert(product)[0] == "added":
                 basis.append(product)
         frontier += 1
-    structure = []
-    for a in basis:
-        row = []
-        for b in basis:
-            combo = echelon.express(locus.normal_form(a * b))
-            assert combo is not None, "product escaped the span"
-            row.append({l: c for l, c in combo.items() if c})
-        structure.append(tuple(row))
-    return tuple(basis), tuple(structure)
+
+    def coordinates(f):
+        combo = echelon.express(locus.normal_form(f))
+        assert combo is not None, "product escaped the span"
+        return {l: c for l, c in combo.items() if c}
+
+    columns = tuple(tuple(coordinates(b * g) for b in basis) for g in images)
+    structure = tuple(tuple(coordinates(a * b) for b in basis) for a in basis)
+    return tuple(basis), columns, structure
 
 
-def direct_gram(basis, structure):
-    d = len(basis)
-    traces = [sum((structure[l][k].get(k, 0) for k in range(d)), Fraction(0))
-              for l in range(d)]
+def direct_traces(structure):
+    d = len(structure)
+    return tuple(sum((structure[l][k].get(k, 0) for k in range(d)), Fraction(0))
+                 for l in range(d))
+
+
+def direct_gram(structure):
+    d = len(structure)
+    traces = direct_traces(structure)
     return tuple(tuple(sum((c * traces[l] for l, c in structure[i][j].items()), Fraction(0))
                        for j in range(d)) for i in range(d))
 
@@ -214,7 +230,8 @@ def _oracle_cases():
 
 
 class TestStructureOracle:
-    """The recurrence b_i * b_j = L_g(b_p * b_j) against direct reduction."""
+    """The multiplication matrices, the backward trace recurrence and the
+    Gram recurrence against direct reduction."""
 
     def test_no_algebra_cases_are_the_excluded_ones(self, pipelines):
         for name in NO_ALGEBRA_AT_N1:
@@ -226,10 +243,11 @@ class TestStructureOracle:
         run = run_pipeline(DecisionInput(parse_presentation(text), n))
         assert run.verdict.outcome is Outcome.FINITE and not run.locus_basis.is_unit
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
-        basis, structure = direct_algebra(run.locus_basis, run.generators)
+        basis, columns, structure = direct_algebra(run.locus_basis, run.generators)
         assert algebra.basis == basis
-        assert algebra.structure == structure
-        assert trace_form(algebra).gram == direct_gram(basis, structure)
+        assert algebra.columns == columns
+        assert algebra.traces == direct_traces(structure)
+        assert trace_form(algebra).gram == direct_gram(structure)
 
     def test_c4_c6_counts_its_points(self):
         report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))
@@ -243,22 +261,64 @@ class TestStructureOracle:
 
     def test_integral_constants_are_ints(self):
         report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))
-        constants = [c for row in report.algebra.structure for entry in row
-                     for c in entry.values()]
+        constants = [c for column in chain(*report.algebra.columns) for c in column.values()]
         assert constants and all(type(c) is int for c in constants)
+        assert all(type(c) is int for c in report.algebra.traces)
         assert all(type(c) is int for row in report.gram for c in row)
 
     def test_non_integral_algebra_keeps_its_fractions(self):
         run = run_pipeline(DecisionInput(parse_presentation(NON_INTEGRAL), 1))
         report = count_from_run(run)
-        basis, structure = direct_algebra(run.locus_basis, run.generators)
-        gram = direct_gram(basis, structure)
-        assert report.algebra.structure == structure and report.gram == gram
-        constants = [c for row in report.algebra.structure for entry in row
-                     for c in entry.values()]
+        _, columns, structure = direct_algebra(run.locus_basis, run.generators)
+        gram = direct_gram(structure)
+        assert report.algebra.columns == columns and report.gram == gram
+        assert report.algebra.traces == direct_traces(structure)
+        constants = [c for column in chain(*report.algebra.columns) for c in column.values()]
         assert Fraction(1, 2) in constants
         assert any(type(c) is Fraction and c.denominator > 1 for row in report.gram for c in row)
         assert report.count == dense_fraction_rank(gram) == 4
+
+    def test_remainder_returns_ints_where_integral(self):
+        # the triangular locus basis is monic with Fraction tails, so its
+        # reductions pass through Fractions that are often integral
+        run = run_pipeline(DecisionInput(parse_presentation(TRIANGULAR), 1))
+        table = run.locus_basis.table
+        algebra = build_quotient_algebra(run.locus_basis, run.generators)
+        elements = [table.pack(b) for b in algebra.basis]
+        images = [table.remainder(table.pack(tg.value)) for tg in run.generators]
+        products = [table.product([(a, b)]) for a in elements for b in elements + images]
+        outputs = [c for terms in images + products for _, _, c in terms]
+        assert any(type(c) is Fraction for c in outputs)
+        assert not [c for c in outputs if type(c) is Fraction and c.denominator == 1]
+
+    def test_dimension_cap_is_a_basis_limit(self, monkeypatch, capsys, tmp_path):
+        run = run_pipeline(DecisionInput(parse_presentation(C4_C6), 1))
+        monkeypatch.setattr(count, "MAX_DIMENSION", 10)  # C4 x C6 has dimension 24
+        with pytest.raises(ResourceLimitExceeded) as info:
+            build_quotient_algebra(run.locus_basis, run.generators)
+        assert info.value.kind == "basis"
+        assert "quotient algebra dimension exceeded 10" in str(info.value)
+        path = tmp_path / "c4xc6.alg"
+        path.write_text(C4_C6)
+        assert main(["count", str(path), "-n", "1", "--json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "resource-limit" and payload["stage"] == "count"
+        assert payload["verdict"] == "finite" and payload["count"] is None
+
+    def test_building_stays_below_the_size_of_a_structure_table(self):
+        # C24 x C24 at n = 1: dimension 576; with a d x d table of dicts the
+        # peak was about 6 MB, and the multiplication matrices and the live
+        # trace functionals take about 1.3 MB
+        text = _presentation("x, y", "x^24 - 1", "y^24 - 1", "x*y - y*x")
+        run = run_pipeline(DecisionInput(parse_presentation(text), 1))
+        tracemalloc.start()
+        try:
+            algebra = build_quotient_algebra(run.locus_basis, run.generators)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert algebra.dimension == 576
+        assert peak < 3 * 2**20, peak
 
     def test_normal_forms_are_one_per_closure_product(self, monkeypatch):
         # every reduction, a Polynomial's normal form or a product of packed
