@@ -161,15 +161,15 @@ def _emit_dumps(targets, run: PipelineRun, report: CountReport | None,
 
 def _dump_certificates(run: PipelineRun, err) -> None:
     """Stream the unreduced certificates on the words the pipeline uses, one
-    by one; nothing is retained."""
+    per set of 2n - 1 words, one by one; nothing is retained."""
     n = run.input.n
     if n == 1:
         print("# certificate set for n = 1", file=err)
         print("1", file=err)
         return
     max_len = run.input.word_length_bound
-    print("# certificates tr(M0 * s_%d(...)), words up to length %d with no factor u^%d"
-          % (2 * (n - 1), max_len, n), file=err)
+    print("# certificates tr(M0 * s_%d(...)), one per set of %d words up to length %d "
+          "with no factor u^%d" % (2 * (n - 1), 2 * n - 1, max_len, n), file=err)
     emitted = 0
     for words, poly in certificates(run.space, certificate_words(run.space.s, max_len, n)):
         emitted += 1

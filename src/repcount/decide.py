@@ -221,12 +221,13 @@ def minimal_polynomial(f: Polynomial, basis: GroebnerBasis, limits=None,
                 sum(table.packing.unpack(p)) for _, p, _ in terms) > budget.max_degree:
             break
 
+    # the block order compares the old variables by the basis's own order,
+    # so the basis stays a Groebner basis there and is extended by y - nf
     y = ring.fresh_auxiliary("y")
     ext = ring.extended(y, top=False)
-    gens = [ext.transfer(g) for g in basis.elements]
-    gens.append(ext.variable(y) - ext.transfer(nf))
-    order = MonomialOrder.elimination(tuple(range(ring.nvars())), ext.nvars())
-    gb = buchberger(gens, order, budget, ring=ext)
+    order = MonomialOrder.elimination(tuple(range(ring.nvars())), ext.nvars(), basis.order.scheme)
+    gb = buchberger([ext.variable(y) - ext.transfer(nf)], order, budget, ring=ext,
+                    known=[ext.transfer(g) for g in basis.elements])
     ypos = ext.position[y]
     univariate = [g for g in gb.elements if g.support_positions() <= {ypos}]
     if not univariate:
@@ -250,11 +251,15 @@ def collapsed_certificate_values(space: GenericMatrixSpace, basis: GroebnerBasis
     relations basis.
 
     Returns (values, candidates): distinct nonzero reduced certificates (up
-    to sign) and the number of provenance tuples (M0, M1..Mm) examined,
-    words * C(words, m).  The values generate, together with the relations,
-    the same ideal as the reductions of every member of the full certificate
-    set; word-product entries are reduced as they are built, so nothing
-    large is ever materialized.
+    to sign), in order of first appearance, and the number of provenance
+    tuples (M0, M1..Mm), words * C(words, m).  `certificate_terms` computes
+    one of them per set of 2n - 1 words, the others being 0 or + or - that
+    one, and the values are those of all of them; `candidates` stays the
+    size of the set they stand for, so `certificate_candidates` in `--json`,
+    `-v` and the golden files is unchanged.  The values generate, together
+    with the relations, the same ideal as the reductions of every member of
+    the full certificate set; word-product entries are reduced as they are
+    built, so nothing large is ever materialized.
     """
     words = certificate_words(space.s, max_len, space.n)
     values = []
@@ -278,12 +283,13 @@ def _shrink_multipliers(relations_basis: GroebnerBasis, values: Sequence[Polynom
     the same locus.  That basis can be smaller than the values (9 values
     become 1 multiplier on the free algebra on two generators at n = 2) or
     larger (1 value becomes 4 on Q[S3]); every multiplier costs a
-    saturation, so the smaller set wins and the basis wins ties.
+    saturation, so the smaller set wins and the basis wins ties.  The basis
+    extends the relations basis, the reduced basis for `order`, by the values.
     """
     if not values:
         return []
-    gb_all = buchberger(list(relations_basis.elements) + list(values),
-                        order, budget, ring=relations_basis.ring)
+    gb_all = buchberger(values, order, budget, ring=relations_basis.ring,
+                        known=relations_basis.elements)
     shrunk = [g for g in gb_all.elements if not relations_basis.normal_form(g, budget).is_zero]
     return list(values) if len(values) < len(shrunk) else shrunk
 
@@ -300,9 +306,9 @@ def saturated_locus(relations_basis: GroebnerBasis, values: Sequence[Polynomial]
     leaves the relations ideal itself (I : 1^infinity = I; the convention at
     n = 1).  Otherwise the saturation at the smaller multiplier set of
     `_shrink_multipliers` is the intersection of single-multiplier
-    saturations, each started from the relations basis rather than the raw
-    generators: it is the same ideal, and the elimination inside each
-    saturation finishes far sooner from a Groebner basis.
+    saturations.  Each one extends the relations basis, the reduced basis
+    for `order`, instead of starting from the raw generators, and returns
+    the reduced basis for `order`, as the intersections do.
     """
     budget = Budget.of(limits)
     ring = relations_basis.ring
@@ -322,23 +328,20 @@ def saturated_locus(relations_basis: GroebnerBasis, values: Sequence[Polynomial]
     if constant is not None:
         return relations_basis, [constant]
     multipliers = _shrink_multipliers(relations_basis, reduced, order, budget)
-    base = relations_basis.as_ideal()
-    acc: Ideal | None = None
     acc_gb: GroebnerBasis | None = None
     ordered = sorted(multipliers, key=lambda p: (p.total_degree(), p.num_terms()))
     for g in ordered:
         budget.tick()
-        part_gb = buchberger(saturate_principal(base, g, budget), order, budget, ring=ring)
+        part_gb = saturate_principal(relations_basis, g, budget)
         if part_gb.is_unit:
             continue
         if acc_gb is None:
-            acc, acc_gb = Ideal(ring, part_gb.elements), part_gb
+            acc_gb = part_gb
             continue
         if all(part_gb.normal_form(h, budget).is_zero for h in acc_gb.elements):
             continue  # acc is already inside this part
-        acc = intersect(acc, Ideal(ring, part_gb.elements), budget)
-        acc_gb = buchberger(acc, order, budget, ring=ring)
-        acc = Ideal(ring, acc_gb.elements)
+        meet = intersect(acc_gb.as_ideal(), part_gb.as_ideal(), budget, order)
+        acc_gb = GroebnerBasis(ring, order, meet.generators)
     if acc_gb is None:
         return buchberger([ring.one], order, budget, ring=ring), multipliers
     return acc_gb, multipliers

@@ -13,7 +13,8 @@ generic matrix (x[i,j,l]).  This module builds:
     exactly at the non-irreducible points.  Word lengths run up to the
     Pappacena-style bound returned by `length_bound`, `certificate_words`
     lists the n-th-power-free words, which give the same certificate ideal,
-    and `certificates` streams the certificates on a word list.
+    and `certificates` streams one certificate per set of 2n-1 words (the
+    certificates alternate in all their slots).
 
 Word matrices, s_m and traces are d x d matrices of packed `DivisorTable` terms,
 each entry of a product one `DivisorTable.product` (an empty table reduces nothing).
@@ -261,27 +262,45 @@ def certificate_words(s: int, max_len: int, n: int) -> list:
 
 def certificate_terms(space: GenericMatrixSpace, words: Sequence[tuple], table: DivisorTable,
                       budget: Budget) -> Iterator[tuple]:
-    """Yield ((M0, M1, .., Mm), terms) for every certificate
-    trace(M0 * s_m(M1..Mm)) on `words`, with m = 2(n-1), whose normal form
-    modulo `table` is nonzero; the terms are that normal form's.
+    """Yield ((M0, M1, .., Mm), terms) for one certificate
+    trace(M0 * s_m(M1..Mm)), m = 2(n-1), per set of m + 1 = 2n - 1 of the
+    (distinct) `words`, when its normal form modulo `table` is nonzero; the
+    terms are that normal form's.
 
-    The M1..Mm slots are unordered without repeats (permutations only flip
-    the sign, repeats vanish) and M0 ranges over all of `words`; the order is
-    `for rest in combinations(words, m): for m0 in words`.  Every entry of a
-    word matrix and of s_m, and every value, is one `DivisorTable.product`
-    of normal forms, which is the normal form of the unreduced product since
-    normal forms are linear.  The budget ticks once per (M1..Mm) tuple.
+    The order is `for rest in combinations(words, m)`, then M0 over the
+    words after rest[-1] in `words` order.  The other candidates of the
+    loop over every M0 add nothing.  c(x0..xm) = tr(x0 * s_m(x1..xm)) is
+    alternating in all m + 1 slots, because tr(s_{m+1}(x0..xm)) =
+    (m + 1) * c(x0..xm): each product in s_{m+1} has the trace of its
+    rotation that starts with x0, a rotation of an odd number of factors is
+    an even permutation, so the sign is kept too, and each order that
+    starts with x0 is the rotation of m + 1 orders.  So a candidate with M0
+    among M1..Mm is 0, and any other is + or - the value yielded for its
+    word set.  In the loop over every M0 that value comes first, with its
+    sign: removing the last word of a set leaves its lexicographically
+    smallest m-subset.  The values up to sign, in order of first appearance,
+    are therefore those of the full loop, whose size words * C(words, m)
+    stays the `certificate_candidates` the values stand for.
+
+    Every entry of a word matrix and of s_m, and every value, is one
+    `DivisorTable.product` of normal forms, which is the normal form of the
+    unreduced product since normal forms are linear.  The budget ticks once
+    per (M1..Mm) tuple.
     """
     n = space.n
     if n < 2:
         raise ValueError("certificate sets need n >= 2")
     word_matrix = dict(_word_matrices(space, words, table, budget))
+    position = {w: i for i, w in enumerate(words)}
     for rest in combinations(words, 2 * (n - 1)):
         budget.tick()
+        after = words[position[rest[-1]] + 1:]
+        if not after:
+            continue
         alt = _standard_polynomial(table, [word_matrix[w] for w in rest], budget)
         if not any(e for row in alt for e in row):
             continue
-        for m0 in words:
+        for m0 in after:
             left = word_matrix[m0]
             value = table.product([(left[i][k], alt[k][i]) for i in range(n) for k in range(n)],
                                   budget)

@@ -217,8 +217,14 @@ def _interreduce(table: DivisorTable, minimal: list, budget: Budget) -> Groebner
 
 def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                limits: ResourceLimits | Budget | None = None,
-               ring: PolyRing | None = None) -> GroebnerBasis:
+               ring: PolyRing | None = None, known: Sequence[Polynomial] = ()) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal, unique for the given order.
+
+    `known`, when given, is a reduced Groebner basis for `order` of part of
+    the ideal, which the generators extend.  Its elements enter the basis
+    with no pair among them: their S-polynomials all reduce to zero, so the
+    Gebauer-Moeller invariant holds from the start, and only the pairs with
+    new elements are formed.
 
     Pair selection follows the normal strategy (smallest lcm degree first,
     then smallest lcm).  The basis is built as the entries of one divisor table, on packed
@@ -242,10 +248,10 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
     else:
         gens = [g for g in ideal if not g.is_zero]
         if ring is None:
-            if not gens:
+            if not gens and not known:
                 raise ValueError("cannot infer the ring of an empty generator list")
-            ring = gens[0].ring
-    if not gens:
+            ring = (gens or known)[0].ring
+    if not gens and not known:
         return GroebnerBasis(ring, order, ())
 
     table = DivisorTable((), order, ring)
@@ -294,23 +300,35 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
             heappush(pairs, (sum(exponents), -packing.key(exponents), i, k, m))
         active[:] = [i for i in active if not packing.divides(mk, entries[i][0])] + [k]
 
-    def insert(terms: list) -> bool:
-        """Add the primitive part of the remainder; True when it is a constant,
-        so the ideal is the unit ideal.  Its coefficients are ints and
-        Fractions, so they go by numerator and denominator, as ints do too."""
+    def primitive(terms: list) -> list:
+        """The primitive integer multiple with a positive leading coefficient.
+        The coefficients are ints and Fractions, so they go by numerator and
+        denominator, as ints do too."""
         denom = math.lcm(*(c.denominator for _, _, c in terms))
         terms = [(k, p, c.numerator * (denom // c.denominator)) for k, p, c in terms]
-        lead = min(terms)
-        g = math.gcd(*(c for _, _, c in terms)) * (1 if lead[2] > 0 else -1)
-        terms = [(k, p, c // g) for k, p, c in terms]
+        g = math.gcd(*(c for _, _, c in terms)) * (1 if min(terms)[2] > 0 else -1)
+        return [(k, p, c // g) for k, p, c in terms]
+
+    def insert(terms: list) -> bool:
+        """Add the primitive part of the remainder; True when it is a constant,
+        so the ideal is the unit ideal."""
+        terms = primitive(terms)
         budget.check_degree(max(sum(packing.unpack(p)) for _, p, _ in terms))
         counters.max_coeff_bits = max(counters.max_coeff_bits,
                                       *(c.bit_length() for _, _, c in terms))
         budget.check_basis(len(entries) + 1)
         table.append(terms)
-        supports.append(packing.support(lead[1]))
+        lead = entries[-1][0]
+        supports.append(packing.support(lead))
         update(len(entries) - 1)
-        return lead[1] == 0
+        return lead == 0
+
+    for g in known:
+        table.append(primitive(table.pack(g)))
+        supports.append(packing.support(entries[-1][0]))
+        active.append(len(entries) - 1)
+    if any(entry[0] == 0 for entry in entries):
+        return GroebnerBasis(ring, order, (ring.one,))
 
     for g in sorted(gens, key=lambda g: (g.total_degree(), len(g.terms))):
         r = table.remainder(table.pack(g), budget)
@@ -330,8 +348,9 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
     return _interreduce(table, active, budget)
 
 
-def intersect(a: Ideal, b: Ideal, limits=None) -> Ideal:
-    """a ∩ b via the usual trick: eliminate w from w*a + (1-w)*b."""
+def intersect(a: Ideal, b: Ideal, limits=None, order: MonomialOrder = GREVLEX) -> Ideal:
+    """a ∩ b via the usual trick: eliminate w from w*a + (1-w)*b.  The
+    generators are the reduced basis of the intersection for `order`."""
     budget = Budget.of(limits)
     ring = a.ring
     if b.ring is not ring:
@@ -339,23 +358,31 @@ def intersect(a: Ideal, b: Ideal, limits=None) -> Ideal:
     if a.is_zero_ideal() or b.is_zero_ideal():
         return Ideal(ring)
     if any(g.is_constant for g in a.generators):
-        return _canonical(b, budget)
+        return _canonical(b, budget, order)
     if any(g.is_constant for g in b.generators):
-        return _canonical(a, budget)
-    return _eliminate_new_variable(ring, lambda ext, w: (
+        return _canonical(a, budget, order)
+    return Ideal(ring, _eliminate_new_variable(ring, order, lambda ext, w: (
         [w * ext.transfer(g) for g in a.generators]
-        + [(ext.one - w) * ext.transfer(g) for g in b.generators]), budget)
+        + [(ext.one - w) * ext.transfer(g) for g in b.generators]), budget))
 
 
-def _eliminate_new_variable(ring: PolyRing, generators, budget: Budget) -> Ideal:
-    """The elements free of w of the ideal that generators(ext, w) span in
-    `ring` extended by a new top variable w: its intersection with `ring`."""
+def _eliminate_new_variable(ring: PolyRing, order: MonomialOrder, generators, budget: Budget,
+                            known: Sequence[Polynomial] = ()) -> list:
+    """The reduced basis for `order` of the intersection with `ring` of the
+    ideal that `known` and generators(ext, w) span in `ring` extended by a
+    new top variable w: the elements free of w of the reduced basis for the
+    block order that eliminates w and compares the rest by `order`.
+
+    A reduced basis for `order` in `ring`, passed as `known`, is one for
+    the block order too, so it is extended, not rebuilt.
+    """
     w = ring.fresh_auxiliary("_w")
     ext = ring.extended(w, top=True)
     wpos = ext.position[w]
-    order = MonomialOrder.elimination((wpos,), ext.nvars())
-    gb = buchberger(generators(ext, ext.variable(w)), order, budget, ring=ext)
-    return Ideal(ring, [ring.transfer(g) for g in gb.elements if wpos not in g.support_positions()])
+    block = MonomialOrder.elimination((wpos,), ext.nvars(), order.scheme)
+    gb = buchberger(generators(ext, ext.variable(w)), block, budget, ring=ext,
+                    known=[ext.transfer(h) for h in known])
+    return [ring.transfer(g) for g in gb.elements if wpos not in g.support_positions()]
 
 
 def _canonical(ideal: Ideal, budget: Budget, order: MonomialOrder = GREVLEX) -> Ideal:
@@ -375,19 +402,21 @@ def ideal_quotient(ideal: Ideal, f: Polynomial, limits=None) -> Ideal:
     return Ideal(ideal.ring, [exact_divide(g, f) for g in meet.generators])
 
 
-def saturate_principal(ideal: Ideal, g: Polynomial, limits=None) -> Ideal:
-    """(ideal : g^infinity) in a single elimination: adjoin 1 - w*g, drop w.
+def saturate_principal(basis: GroebnerBasis | Ideal, g: Polynomial, limits=None) -> GroebnerBasis:
+    """(basis : g^infinity) in a single elimination: adjoin 1 - w*g, drop w.
 
     One Groebner basis, where iterating colon ideals to a fixpoint would
-    take many.
+    take many.  `basis` is a reduced Groebner basis (an Ideal is first
+    given its grevlex one); the elimination extends it by 1 - w*g, and the
+    saturation comes back as the reduced basis in its order.
     """
     budget = Budget.of(limits)
-    ring = ideal.ring
     if g.is_zero:
         raise ValueError("saturation by the zero polynomial")
-    if g.is_constant:
-        return _canonical(ideal, budget)
-    if ideal.is_zero_ideal():
-        return ideal
-    return _eliminate_new_variable(ring, lambda ext, w: (
-        [ext.transfer(h) for h in ideal.generators] + [ext.one - w * ext.transfer(g)]), budget)
+    if isinstance(basis, Ideal):
+        basis = buchberger(basis, GREVLEX, budget)
+    if g.is_constant or not basis.elements:
+        return basis
+    return GroebnerBasis(basis.ring, basis.order, _eliminate_new_variable(
+        basis.ring, basis.order, lambda ext, w: [ext.one - w * ext.transfer(g)], budget,
+        basis.elements))

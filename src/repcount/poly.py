@@ -404,6 +404,8 @@ class MonomialOrder:
         if scheme == "block":
             if nvars is None:
                 raise ValueError("block order needs the ring's variable count")
+            if inner not in ("lex", "grevlex"):
+                raise ValueError("unknown inner order scheme %r" % inner)
             drop = tuple(sorted(set(dropped)))
             self.dropped = drop
             self.retained = tuple(p for p in range(nvars) if p not in set(drop))

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repcount.cli import build_parser, main
+from repcount.decide import run_pipeline
 
 from conftest import ALGEBRAS
 
@@ -264,7 +265,7 @@ class TestDumps:
     def test_certificate_dump_uses_power_free_words(self, capsys):
         code, out, err = run_cli(capsys, "decide", alg("free2"), "-n", "2", "--dump", "sset")
         assert code == 0
-        assert "words up to length 4 with no factor u^2" in err
+        assert "one per set of 3 words up to length 4 with no factor u^2" in err
         assert "(0, 1, 0)" in err
         assert "(0, 0)" not in err and "(1, 1)" not in err
 
@@ -313,10 +314,18 @@ relation: v^8 - 1
 
 
 class TestBudget:
-    def test_count_stage_overrun_stays_in_the_one_budget(self, capsys, tmp_path):
+    def test_count_stage_overrun_stays_in_the_one_budget(self, capsys, tmp_path, monkeypatch):
         # one deadline covers deciding and counting: a count that overruns
         # stops at the run's budget (plus the tick overshoot), not at a
-        # second full budget started after the decision
+        # second full budget started after the decision.  The decision is
+        # made to take 0.4 s, so a fresh 0.5 s budget for the count would
+        # end the run past 0.9 s
+        def slow_run_pipeline(decision_input):
+            run = run_pipeline(decision_input)
+            time.sleep(0.4)
+            return run
+
+        monkeypatch.setattr("repcount.cli.run_pipeline", slow_run_pipeline)
         path = tmp_path / "slow_count.alg"
         path.write_text(SLOW_COUNT)
         budget = 0.5
@@ -427,7 +436,7 @@ class TestDecideBudget:
 
     def test_certificate_stage_overrun(self, capsys, tmp_path):
         # the free algebra on three generators at n = 2: an empty relations
-        # basis, then 31,200 certificate candidates on unreduced products
+        # basis, then 9,880 word sets (31,200 candidates) on unreduced products
         path = tmp_path / "free3.alg"
         path.write_text("generators: X, Y, Z\n")
         budget = 0.5

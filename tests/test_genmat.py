@@ -9,12 +9,14 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repcount import genmat
+from repcount.decide import collapsed_certificate_values
 from repcount.genmat import (
     CyclicWord,
     _necklaces,
@@ -92,6 +94,21 @@ class TestStandardIdentity:
         for _ in range(10):
             mats = [rational_matrix(rng, 2) for _ in range(4)]
             assert standard_identity(4, mats).is_zero
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_certificate_alternates_in_every_slot(self, n):
+        # tr(X0 * s_2k(X1..X2k)) = tr(s_2k+1(X0..X2k)) / (2k + 1), k = n - 1:
+        # the certificate is alternating in all 2n - 1 slots, M0 included
+        k = n - 1
+        rng = random.Random(31 + n)
+        for _ in range(5):
+            xs = [Matrix([[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)])
+                  for _ in range(2 * k + 1)]
+            value = trace_of_product(xs[0], standard_identity(2 * k, xs[1:]))
+            assert value * (2 * k + 1) == standard_identity(2 * k + 1, xs).trace()
+            swapped = [xs[1], xs[0]] + xs[2:]
+            assert trace_of_product(swapped[0], standard_identity(2 * k, swapped[1:])) == -value
+            assert value != 0
 
     def test_s3_not_an_identity_on_2x2(self):
         e11 = Matrix([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
@@ -284,17 +301,9 @@ class TestCertificates:
 
     def test_two_generators_matches_brute_force(self):
         space = build_generic_space(2, 2)
-        raw = []
-        for rest in combinations(all_words(2, 2), 2):
-            alt = standard_identity(2, [word_matrix(space, w) for w in rest])
-            if alt.is_zero:
-                continue
-            for m0 in all_words(2, 2):
-                poly = trace_of_product(word_matrix(space, m0), alt)
-                if not poly.is_zero:
-                    raw.append(((m0,) + rest, poly))
-        assert len(raw) > 0
-        assert list(certificates(space, all_words(2, 2))) == raw
+        words = all_words(2, 2)
+        full = full_certificate_loop(space, words)
+        assert check_one_per_word_set(full, words, list(certificates(space, words))) > 0
 
     def test_members_record_provenance(self):
         space = build_generic_space(2, 2)
@@ -327,14 +336,22 @@ class TestCertificates:
         # against an empty table, the fraction cases against bases with
         # Fraction coefficients (every value of XY - 4/5 YX reduces to 0)
         space, basis = reduced_space(name)
+        full = full_certificate_loop(space, words, basis)
+        check_one_per_word_set(full, words, list(certificates(space, words, basis.table)))
+
+    @pytest.mark.parametrize("name", ["fraction_plane", "fraction_cubic", "free2", "s3"])
+    def test_collapse_matches_the_full_loop(self, name):
+        # the values of the loop over every M0, deduplicated up to sign in
+        # order of first appearance, are the collapse's values as a list
+        space, basis = reduced_space(name)
+        words = certificate_words(2, length_bound(2), 2)
         expected = []
-        for rest in combinations(words, 2):
-            alt = standard_identity(2, [word_matrix(space, w) for w in rest])
-            for m0 in words:
-                value = basis.normal_form(trace_of_product(word_matrix(space, m0), alt))
-                if not value.is_zero:
-                    expected.append(((m0,) + rest, value))
-        assert list(certificates(space, words, basis.table)) == expected
+        for _, value in full_certificate_loop(space, words, basis):
+            if not value.is_zero and value not in expected and -value not in expected:
+                expected.append(value)
+        values, candidates = collapsed_certificate_values(space, basis, length_bound(2))
+        assert values == expected
+        assert candidates == len(words) * comb(len(words), 2) == 147
 
     @pytest.mark.parametrize("name", ["fraction_plane", "fraction_cubic", "free2", "s3"])
     def test_trace_generators_match_the_oracle_route(self, name):
@@ -361,6 +378,34 @@ def reduced_space(name):
     p = parse_presentation(PRESENTATIONS[name]) if name in PRESENTATIONS else load(name)
     space = build_generic_space(2, 2)
     return space, buchberger(relations_ideal(p, space), GREVLEX)
+
+
+def full_certificate_loop(space, words, basis=None):
+    """Every candidate ((M0, M1, M2), value) at n = 2, in the order
+    `for rest in combinations(words, 2): for m0 in words`, zeros included,
+    on Polynomial matrices and reduced modulo `basis` only at the end."""
+    out = []
+    for rest in combinations(words, 2):
+        alt = standard_identity(2, [word_matrix(space, w) for w in rest])
+        for m0 in words:
+            value = trace_of_product(word_matrix(space, m0), alt)
+            out.append(((m0,) + rest, value if basis is None else basis.normal_form(value)))
+    return out
+
+
+def check_one_per_word_set(full, words, got):
+    """`got` is the nonzero candidates of `full` whose M0 comes after M2 in
+    `words`, in the same order, and every other candidate is 0 or + or - the
+    one of its word set; returns the number yielded."""
+    position = {w: i for i, w in enumerate(words)}
+    assert got == [(slots, value) for slots, value in full
+                   if position[slots[0]] > position[slots[-1]] and not value.is_zero]
+    by_set = {frozenset(slots): value for slots, value in got}
+    for slots, value in full:
+        if not value.is_zero:
+            assert len(set(slots)) == 3
+            assert value in (by_set[frozenset(slots)], -by_set[frozenset(slots)])
+    return len(got)
 
 
 def has_power_factor(word, n):

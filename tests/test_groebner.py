@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.polys.orderings import ProductOrder, grevlex
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repcount.genmat import build_generic_space, relations_ideal
@@ -345,6 +345,43 @@ class TestPackedEngine:
         self.assert_same_run(ideal, GREVLEX, ideal.ring)
 
 
+class TestExtension:
+    """`buchberger(new, order, known=G)` extends a reduced basis G for order:
+    the same reduced basis as a run on G and the new generators together."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(),
+           st.sampled_from([GREVLEX, LEX, MonomialOrder.elimination((0,), 3),
+                            MonomialOrder.elimination((1, 2), 3, inner="lex")]))
+    def test_extending_equals_rebuilding(self, rng, rational, order):
+        # the caps keep the rare ideal with a huge basis out; the extension,
+        # whose intermediate elements differ, gets looser ones
+        coeffs = RATIONAL_COEFFS if rational else (-3, -2, -1, 1, 2, 3)
+        first = [_random_poly(R, rng, coeffs=coeffs) for _ in range(rng.randrange(1, 3))]
+        new = [_random_poly(R, rng, coeffs=coeffs) for _ in range(rng.randrange(0, 3))]
+        caps = ResourceLimits(max_degree=10, max_basis=30)
+        try:
+            known = buchberger(first, order, caps, ring=R)
+            rebuilt = buchberger(list(known.elements) + new, order, caps, ring=R)
+        except ResourceLimitExceeded:
+            assume(False)
+        extended = buchberger(new, order, ResourceLimits(max_degree=20, max_basis=60), ring=R,
+                              known=known.elements)
+        assert repr(extended) == repr(rebuilt)
+        assert extended.table.entries == DivisorTable(extended.elements, order).entries
+
+    def test_known_pairs_are_not_reduced(self):
+        known = buchberger([X * Y - Z, Y * Z - X, Z * X - Y], GREVLEX, ring=R)
+        budget = Budget()
+        assert buchberger([], GREVLEX, budget, ring=R, known=known.elements) == known
+        assert budget.counters.s_pairs == 0
+        assert buchberger([X - 1], GREVLEX, ring=R, known=known.elements) == \
+            buchberger(list(known.elements) + [X - 1], GREVLEX, ring=R)
+
+    def test_a_unit_basis_stays_the_unit_ideal(self):
+        assert buchberger([X], GREVLEX, ring=R, known=[R.one]).elements == (R.one,)
+
+
 class TestEngineCounters:
     def test_counters_accumulate_on_the_budget(self):
         gens = [X * Y - Z, Y * Z - X, Z * X - Y, X * X - 1]
@@ -406,7 +443,20 @@ class TestSaturationModes:
         sat = saturate(ideal, [U, V])
         left = saturate_principal(ideal, U)
         right = saturate_principal(ideal, V)
-        assert equal_ideals(sat, intersect(left, right))
+        assert equal_ideals(sat, intersect(left.as_ideal(), right.as_ideal()))
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_saturation_extends_the_basis_in_its_order(self, order):
+        # from a reduced basis, the saturation is the reduced basis of the
+        # iterated one in the same order
+        for ideal in (Ideal(R2, [U * U * V, U * V * V - U * V]),
+                      Ideal(R, [X * X * Y, X * Z * Z - X * Z]),
+                      Ideal(R, [X * Y - Z, Y * Z - X, Z * X - Y])):
+            ring = ideal.ring
+            for g in ring.variable(ring.variables[0]), ring.variable(ring.variables[1]):
+                sat = saturate_principal(buchberger(ideal, order), g)
+                assert sat.order is order
+                assert repr(sat) == repr(buchberger(saturate(ideal, [g]), order, ring=ring))
 
     def test_constant_multiplier_is_identity(self):
         ideal = Ideal(R2, [U * U - V])
