@@ -16,6 +16,7 @@ they never mix into the primary stdout stream.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -287,8 +288,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: parsing leaves the parser
+    unchanged, and building it is a good part of a small case's time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "decide":
             return _cmd_decide(args)

@@ -9,17 +9,18 @@ size cap) raise `ResourceLimitExceeded`, a distinct failure mode meaning
 
 `buchberger` keeps the basis it builds as the packed entries of one divisor
 table for the whole run: it reduces every S-pair inside it on packed
-monomials and integer coefficients, prunes pairs with the Gebauer-Moeller
-update on the packed leading monomials (Gebauer and Moeller, J. Symbolic
-Comput. 6 (1988); the UPDATE procedure of Becker and Weispfenning, "Groebner
-Bases", 1993), and tail-reduces the final basis in one pass into the table
-the returned basis keeps.  Each `Budget` counts the work it has paid for in
+monomials and integer coefficients, fraction-free, prunes pairs with the
+Gebauer-Moeller update on the packed leading monomials (Gebauer and Moeller,
+J. Symbolic Comput. 6 (1988); the UPDATE procedure of Becker and
+Weispfenning, "Groebner Bases", 1993), selects them by lcm degree, then
+sugar (Giovini, Mora, Niesi, Robbiano and Traverso, ISSAC 1991), then lcm,
+and tail-reduces the final basis in one pass into the table the returned
+basis keeps.  Each `Budget` counts the work it has paid for in
 `EngineCounters`, in total and per pipeline stage.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -36,7 +37,6 @@ from .poly import (
     PolyRing,
     Polynomial,
     ResourceLimitExceeded,
-    _int_if_integral,
     exact_divide,
 )
 # unused here, but bench/tracing.py wraps `poly.reduce` in every module that
@@ -207,11 +207,10 @@ def _interreduce(table: DivisorTable, minimal: list, budget: Budget) -> Groebner
     elements = []
     for lp, lk, lc, tail in sorted((table.entries[i] for i in minimal), key=lambda e: -e[1]):
         budget.tick()
-        r = reduced.remainder([(lk, lp, lc)] + tail, budget)
+        r = reduced.pseudo_remainder([(lk, lp, lc)] + tail, budget)
         lc = min(r)[2]
-        monic = [(k, p, _int_if_integral(Fraction(c) / lc)) for k, p, c in r]
-        reduced.append(monic)
-        elements.append(reduced.polynomial(monic))
+        elements.append(reduced.polynomial([(k, p, Fraction(c, lc)) for k, p, c in r]))
+        reduced.append(r, budget)
     return GroebnerBasis(table.ring, table.order, elements, reduced)
 
 
@@ -226,19 +225,23 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
     Gebauer-Moeller invariant holds from the start, and only the pairs with
     new elements are formed.
 
-    Pair selection follows the normal strategy (smallest lcm degree first,
-    then smallest lcm).  The basis is built as the entries of one divisor table, on packed
-    monomials: each new element is reduced against all earlier ones there
-    and updates the pair set by Gebauer-Moeller (`update`).  A constant
-    element ends the run with the unit ideal.
+    Pairs are taken smallest first by (lcm degree, sugar, lcm): the normal
+    strategy, with ties in degree broken by the sugar, the degree the pair's
+    S-polynomial would have were every element homogenized.  A generator or
+    a `known` element has its total degree as sugar, the pair (i, j) has
+    deg lcm + max(sugar_i - deg lm_i, sugar_j - deg lm_j), and the element
+    a pair inserts takes the pair's sugar.  The basis is built as the
+    entries of one divisor table, on packed monomials: each new element is
+    reduced against all earlier ones there and updates the pair set by
+    Gebauer-Moeller (`update`).  A constant element ends the run with the
+    unit ideal.
 
-    Elements are kept as primitive integer polynomials from insertion on.
-    `DivisorTable.s_pair` builds each S-polynomial from the table's packed
-    tails with integer cofactors and hands back its remainder as packed
-    terms, so a Fraction appears on that path only where a reduction step
-    divides inexactly; the remainder is a nonzero multiple of the one of the
-    monic S-polynomial, which has the same primitive part.  Polynomials are
-    built only for the reduced basis.
+    Elements are kept as primitive integer polynomials, which is how the
+    table stores them.  `DivisorTable.s_pair` builds each S-polynomial from
+    the table's packed tails with integer cofactors and pseudo-divides it,
+    so no Fraction appears on that path: the remainder comes back as an
+    integer multiple of the one of the monic S-polynomial, which has the
+    same primitive part.  Polynomials are built only for the reduced basis.
     """
     budget = Budget.of(limits)
     counters = budget.counters
@@ -256,30 +259,33 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
 
     table = DivisorTable((), order, ring)
     packing = table.packing
-    guard, lcm = packing.guard, packing.lcm
+    guard, lcm, unpack, key = packing.guard, packing.lcm, packing.unpack, packing.key
     entries = table.entries  # the basis: (packed lm, lm key, lc, tail)
     supports = []  # packing.support of each leading monomial
+    ecarts = []  # the sugar of each element less the degree of its leading monomial
     active: list = []  # indices of elements no later leading monomial divides
-    pairs: list = []  # heap of (lcm degree, -lcm key, i, j, packed lcm)
+    pairs: list = []  # heap of (lcm degree, sugar, -lcm key, i, j, packed lcm)
+    graded = order.scheme == "grevlex"  # no term is of larger degree than the leading one
 
     def update(k: int) -> None:
         """Gebauer-Moeller: pair k with the active elements and prune the
         pairs, counting the drops in `counters`."""
-        mk, sk = entries[k][0], supports[k]
-        new = [(i, lcm(entries[i][0], mk), not supports[i] & sk) for i in active]
+        mk, sk, ek = entries[k][0], supports[k], ecarts[k]
+        lcms = [lcm(entries[i][0], mk) for i in active]
         # M/F: a non-coprime pair goes when the lcm of a later new pair or of a
         # kept earlier one divides its lcm.  Packed divisors are no larger as
         # ints, so a prefix of the lcms sorted by value is scanned, where the
         # pair itself and the dropped ones read `guard`, which divides none.
-        by_value = sorted(range(len(new)), key=lambda index: new[index][1])
-        live = [new[index][1] for index in by_value]
+        by_value = sorted(range(len(lcms)), key=lcms.__getitem__)
+        live = [lcms[index] for index in by_value]
         values = list(live)  # live is sorted, and changes below
-        slot = dict(zip(by_value, range(len(new))))
+        slot = dict(zip(by_value, range(len(lcms))))
         kept = []  # Becker-Weispfenning's D, less the coprime pairs
-        for index, (i, m, coprime) in enumerate(new):
-            if coprime:
+        for index, i in enumerate(active):
+            if not supports[i] & sk:
                 counters.dropped_coprime += 1
                 continue
+            m = lcms[index]
             live[slot[index]] = guard
             for other in islice(live, bisect_right(values, m)):
                 if not (m - other) & guard:
@@ -288,61 +294,58 @@ def buchberger(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVL
             else:
                 live[slot[index]] = m
                 kept.append((i, m))
-        gone = {id(pair) for pair in pairs if not (pair[4] - mk) & guard
-                and lcm(entries[pair[2]][0], mk) != pair[4]
-                and lcm(entries[pair[3]][0], mk) != pair[4]}
+        gone = {id(pair) for pair in pairs if not (pair[5] - mk) & guard
+                and lcm(entries[pair[3]][0], mk) != pair[5]
+                and lcm(entries[pair[4]][0], mk) != pair[5]}
         if gone:
             counters.dropped_b += len(gone)
             pairs[:] = [pair for pair in pairs if id(pair) not in gone]
             heapify(pairs)
         for i, m in kept:
-            exponents = packing.unpack(m)
-            heappush(pairs, (sum(exponents), -packing.key(exponents), i, k, m))
-        active[:] = [i for i in active if not packing.divides(mk, entries[i][0])] + [k]
+            exponents = unpack(m)
+            degree = sum(exponents)
+            heappush(pairs, (degree, degree + max(ecarts[i], ek), -key(exponents), i, k, m))
+        active[:] = [i for i in active if (entries[i][0] - mk) & guard] + [k]
 
-    def primitive(terms: list) -> list:
-        """The primitive integer multiple with a positive leading coefficient.
-        The coefficients are ints and Fractions, so they go by numerator and
-        denominator, as ints do too."""
-        denom = math.lcm(*(c.denominator for _, _, c in terms))
-        terms = [(k, p, c.numerator * (denom // c.denominator)) for k, p, c in terms]
-        g = math.gcd(*(c for _, _, c in terms)) * (1 if min(terms)[2] > 0 else -1)
-        return [(k, p, c // g) for k, p, c in terms]
-
-    def insert(terms: list) -> bool:
-        """Add the primitive part of the remainder; True when it is a constant,
-        so the ideal is the unit ideal."""
-        terms = primitive(terms)
-        budget.check_degree(max(sum(packing.unpack(p)) for _, p, _ in terms))
-        counters.max_coeff_bits = max(counters.max_coeff_bits,
-                                      *(c.bit_length() for _, _, c in terms))
-        budget.check_basis(len(entries) + 1)
-        table.append(terms)
-        lead = entries[-1][0]
+    def insert(terms: list, sugar: int) -> bool:
+        """Add the primitive part of the remainder with this sugar; True when
+        it is a constant, so the ideal is the unit ideal."""
+        table.append(terms, budget)
+        lead, _, lc, tail = entries[-1]
+        degree = sum(unpack(lead))
+        if budget.max_degree is not None:
+            budget.check_degree(degree if graded else
+                                max([degree] + [sum(unpack(p)) for _, p, _ in tail]))
+        counters.max_coeff_bits = max(counters.max_coeff_bits, lc.bit_length(),
+                                      *(c.bit_length() for _, _, c in tail))
+        budget.check_basis(len(entries))
         supports.append(packing.support(lead))
+        ecarts.append(sugar - degree)
         update(len(entries) - 1)
         return lead == 0
 
     for g in known:
-        table.append(primitive(table.pack(g)))
-        supports.append(packing.support(entries[-1][0]))
+        table.append(table.pack(g))
+        lead = entries[-1][0]
+        supports.append(packing.support(lead))
+        ecarts.append(g.total_degree() - sum(unpack(lead)))
         active.append(len(entries) - 1)
     if any(entry[0] == 0 for entry in entries):
         return GroebnerBasis(ring, order, (ring.one,))
 
     for g in sorted(gens, key=lambda g: (g.total_degree(), len(g.terms))):
-        r = table.remainder(table.pack(g), budget)
-        if r and insert(r):
+        r = table.pseudo_remainder(table.pack(g), budget)
+        if r and insert(r, g.total_degree()):
             return GroebnerBasis(ring, order, (ring.one,))
 
     while pairs:
         budget.tick()
-        _, _, i, j, _ = heappop(pairs)
+        _, sugar, _, i, j, _ = heappop(pairs)
         counters.s_pairs += 1
         r = table.s_pair(i, j, budget)
         if not r:
             counters.zero_reductions += 1
-        elif insert(r):
+        elif insert(r, sugar):
             return GroebnerBasis(ring, order, (ring.one,))
 
     return _interreduce(table, active, budget)

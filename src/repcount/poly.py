@@ -12,9 +12,10 @@ monomial there is two ints: its order key, the order's weight rows read as
 the digits of one integer, so int comparison is the monomial order and the
 key of a product is the sum of the keys; and its packed exponents, one
 16-bit field per variable with a guard bit on top, so a divisibility test is
-one subtraction and one mask.  Coefficients are ints wherever they are
-integral.  Remainders come back in that form, which `buchberger` keeps its
-basis in; `DivisorTable.normal_form` turns them back into a Polynomial.
+one subtraction and one mask.  Divisors are primitive integer polynomials
+and the reduction is fraction-free; remainders come back with ints wherever
+a coefficient is integral.  `buchberger` keeps its basis in that form;
+`DivisorTable.normal_form` turns a remainder back into a Polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from itertools import chain, islice
+from math import gcd, lcm
 from operator import add, le, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -563,6 +565,22 @@ class _Packing:
         return ((packed | guard) - (guard >> 15)) & guard
 
 
+def primitive(terms: Sequence[tuple], budget=None) -> list:
+    """The primitive integer multiple of the nonzero polynomial with these
+    terms, with a positive leading coefficient.  Coefficients are ints and
+    Fractions; the budget is ticked per term, as wide coefficients make
+    each gcd slow."""
+    if all(type(c) is int for _, _, c in terms):
+        terms = list(terms)
+    else:
+        denom = lcm(*(c.denominator for _, _, c in terms))
+        terms = [(k, p, c.numerator * (denom // c.denominator)) for k, p, c in terms]
+    _divide_content({}, terms, budget)
+    if min(terms)[2] < 0:
+        terms = [(k, p, -c) for k, p, c in terms]
+    return terms
+
+
 class DivisorTable:
     """Preprocessed divisor list for repeated normal-form computations.
 
@@ -580,29 +598,41 @@ class DivisorTable:
     as terms, as `buchberger` and `genmat` do, never leaves this form.
     Pending terms sit in a dict keyed by the order key and in a heap of
     those keys; a tail term of a step costs two int additions and one dict
-    lookup, and the divisor scan one subtraction and one mask per divisor.
-    Exponents are exact up to MAX_EXPONENT; a term past it raises
-    ResourceLimitExceeded("degree") when it is read or taken off the heap,
-    never a wrong remainder.  Integral coefficients are ints, in the table
-    and in every result, and the reduction stays on ints wherever the
-    leading coefficient divides the term it cancels; Fractions appear only
-    where a division is inexact.  The result is exactly the Fraction
-    computation's.
+    lookup.  The first divisor of a monomial is found by one subtraction
+    and one mask per divisor, and remembered: the table keeps, for every
+    monomial it has scanned, its first divisor or the number of divisors
+    that were scanned without finding one.  Divisors are only appended, so
+    a first divisor stays first, and a miss rescans only the divisors
+    appended since.  Exponents are exact up to MAX_EXPONENT; a term past it
+    raises ResourceLimitExceeded("degree") when it is read or taken off the
+    heap, never a wrong remainder.
+
+    Every divisor is stored as its primitive integer multiple, and the
+    reduction is fraction-free: the input's denominators are cleared once,
+    and where a leading coefficient lc does not divide the coefficient c it
+    cancels, every pending term and the remainder so far are multiplied by
+    lc / gcd(c, lc) and the content is divided out again, the multiplier
+    being tracked.  `remainder` divides by it once per remainder term, so
+    it returns exactly the remainder of the Fraction computation, with ints
+    wherever a coefficient is integral; `pseudo_remainder` and `s_pair`
+    return the integer multiple and skip that division.
 
     Given a budget, the reduction ticks it once per step, and once per term
-    on a step with a Fraction multiplier, since Fraction arithmetic on large
-    coefficients can make one step take seconds; the steps are added to
+    on a step that rescales or divides out the content, or whose multiplier
+    is wider than WIDE_BITS, since products and gcds of wide coefficients
+    can make one step take seconds; the steps are added to
     `budget.counters`.
     """
 
-    __slots__ = ("order", "entries", "ring", "packing")
+    __slots__ = ("order", "entries", "ring", "packing", "_first")
 
     def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder,
                  ring: PolyRing | None = None):
         self.order = order
-        self.entries: list = []  # (packed lm, lm key, lc, [(key, packed, c) of the tail])
+        self.entries: list = []  # (packed lm, lm key, lc, [(key, packed, c) of the tail]), all ints
         self.ring = ring  # else fixed by the first polynomial packed
         self.packing = None if ring is None else order.packing(ring.nvars())
+        self._first: dict = {}  # packed monomial -> first divisor entry, or entries scanned
         for g in divisors:
             self.add(g)
 
@@ -622,10 +652,11 @@ class DivisorTable:
         if not g.is_zero:
             self.append(self.pack(g))
 
-    def append(self, terms: Sequence[tuple]) -> None:
-        """Append the nonzero polynomial with these terms as the last divisor."""
-        lead = min(terms)  # keys are distinct, and the smallest is the largest monomial
-        tail = list(terms)
+    def append(self, terms: Sequence[tuple], budget=None) -> None:
+        """Append the nonzero polynomial with these terms as the last divisor,
+        stored as its `primitive` integer multiple."""
+        tail = primitive(terms, budget)
+        lead = min(tail)  # keys are distinct, and the smallest is the largest monomial
         tail.remove(lead)
         self.entries.append((lead[1], lead[0], lead[2], tail))
 
@@ -635,24 +666,24 @@ class DivisorTable:
         return self.polynomial(self.remainder(self.pack(f), budget))
 
     def s_pair(self, i: int, j: int, budget=None) -> list:
-        """The remainder, as terms, of a nonzero multiple of the S-polynomial
-        of divisors i and j: (lc_j/g) u g_i - (lc_i/g) v g_j, where u g_i
-        and v g_j have the lcm of the leading monomials as leading monomial
-        and g = gcd(lc_i, lc_j) for int leading coefficients (g = 1
-        otherwise).  It is built from the stored tails, so integral divisors
-        give integral terms."""
+        """A nonzero integer multiple, as terms, of the remainder of the
+        S-polynomial of divisors i and j: the `pseudo_remainder` of
+        (lc_j/g) u g_i - (lc_i/g) v g_j, where u g_i and v g_j have the lcm
+        of the leading monomials as leading monomial and g = gcd(lc_i, lc_j)."""
         packing = self.packing
         lp_i, lk_i, lc_i, tail_i = self.entries[i]
         lp_j, lk_j, lc_j, tail_j = self.entries[j]
         lcm_packed = packing.lcm(lp_i, lp_j)
         lcm_key = packing.key(packing.unpack(lcm_packed))
-        g = gcd(lc_i, lc_j) if type(lc_i) is int and type(lc_j) is int else 1
+        g = gcd(lc_i, lc_j)
         terms = []
-        for tail, lp, lk, scale in ((tail_i, lp_i, lk_i, _int_if_integral(Fraction(lc_j, g))),
-                                    (tail_j, lp_j, lk_j, _int_if_integral(Fraction(-lc_i, g)))):
+        for tail, lp, lk, scale in ((tail_i, lp_i, lk_i, lc_j // g),
+                                    (tail_j, lp_j, lk_j, -lc_i // g)):
             shift, kshift = lcm_packed - lp, lcm_key - lk
+            if budget is not None and scale.bit_length() > WIDE_BITS:
+                tail = _each_ticked(tail, budget.tick)
             terms += [(tk + kshift, tp + shift, scale * tc) for tk, tp, tc in tail]
-        return self.remainder(terms, budget)
+        return self.pseudo_remainder(terms, budget)
 
     def product(self, pairs: Iterable[tuple], budget=None) -> list:
         """The remainder of the sum of a * b over the pairs (a, b) of term
@@ -666,6 +697,22 @@ class DivisorTable:
         integral, and terms may share a key; the remainder's coefficients
         are ints wherever they are integral.  On an empty table the
         remainder is the sum, and no step is counted."""
+        out, multiplier = self._reduce(terms, budget)
+        if multiplier != 1:
+            for index, (k, p, c) in enumerate(out):
+                if budget is not None:
+                    budget.tick()
+                out[index] = (k, p, _int_if_integral(Fraction(c, multiplier)))
+        return out
+
+    def pseudo_remainder(self, terms: Iterable[tuple], budget=None) -> list:
+        """A nonzero integer multiple of `remainder(terms)` (empty when that
+        is zero), as terms with int coefficients."""
+        return self._reduce(terms, budget)[0]
+
+    def _reduce(self, terms: Iterable[tuple], budget) -> tuple:
+        """(out, multiplier): the remainder is out / multiplier, where out
+        has int coefficients and the multiplier is a positive rational."""
         coeff: dict = {}
         expo: dict = {}  # key -> packed exponents, for every key put on the heap
         for k, p, c in terms:
@@ -675,9 +722,19 @@ class DivisorTable:
                 expo[k] = p
             else:
                 del coeff[k], expo[k]
+        multiplier = 1
+        if not all(type(c) is int for c in coeff.values()):
+            multiplier = lcm(*(c.denominator for c in coeff.values()))
+            coeff = {k: c.numerator * (multiplier // c.denominator) for k, c in coeff.items()}
         packing = self.packing
         guard, entries = packing.guard, self.entries
-        budget = budget if entries else None  # nothing divides: no step to count
+        if not entries:  # nothing divides: the remainder is the sum
+            for k, m in expo.items():
+                if m & guard:
+                    packing.check(m)
+            return [(k, expo[k], coeff[k]) for k in sorted(coeff)], multiplier
+        first = self._first
+        tick = None if budget is None else budget.tick
         heap = list(coeff)
         heapify(heap)
         out: list = []
@@ -688,30 +745,38 @@ class DivisorTable:
             if c is None:
                 continue  # stale heap entry
             steps += 1
-            if budget is not None:
-                budget.tick()
+            if tick is not None:
+                tick()
             m = expo[k]
             if m & guard:
                 packing.check(m)
-            for entry in entries:
-                shift = m - entry[0]
-                if not shift & guard:  # the leading monomial divides m
-                    break
-            else:
-                out.append((k, m, c if type(c) is int else _int_if_integral(c)))
-                continue
-            _, lk, lc, tail = entry
+            entry = first.get(m, 0)
+            if type(entry) is int:  # not scanned, or scanned up to that many entries
+                for entry in islice(entries, entry, None):
+                    if not (m - entry[0]) & guard:  # the leading monomial divides m
+                        first[m] = entry
+                        break
+                else:
+                    first[m] = len(entries)
+                    out.append((k, m, c))
+                    continue
+            lp, lk, lc, tail = entry
+            rescaled = False
             if lc == 1:
                 scale = c
-            elif type(c) is int and type(lc) is int and not c % lc:
-                scale = c // lc
             else:
-                scale = Fraction(c) / lc
-            kshift = k - lk
-            fraction_step = budget is not None and type(scale) is not int
+                scale, rest = divmod(c, lc)
+                if rest:
+                    g = gcd(c, lc)
+                    factor = lc // g
+                    _rescale(coeff, out, budget, factor)
+                    multiplier *= factor
+                    scale = c // g
+                    rescaled = True
+            shift, kshift = m - lp, k - lk
+            if tick is not None and scale.bit_length() > WIDE_BITS:
+                tail = _each_ticked(tail, tick)
             for tk, tp, tc in tail:
-                if fraction_step:
-                    budget.tick()
                 k2 = tk + kshift
                 acc = coeff.get(k2)
                 if acc is None:
@@ -727,9 +792,52 @@ class DivisorTable:
                         coeff[k2] = acc
                     else:
                         del coeff[k2]
+            if rescaled:
+                content = _divide_content(coeff, out, budget)
+                if content != 1:
+                    multiplier = Fraction(multiplier, content)
         if budget is not None:
             budget.counters.normal_form_steps += steps
-        return out
+        return out, multiplier
+
+
+WIDE_BITS = 1024  # a multiplier past this width makes each term of a step slow
+
+
+def _each_ticked(items: Iterable, tick):
+    """The items, calling tick before each."""
+    for item in items:
+        tick()
+        yield item
+
+
+def _rescale(coeff: dict, out: list, budget, factor: int, divisor: int = 1) -> None:
+    """Replace every pending coefficient and every coefficient of the
+    remainder so far, c, by c * factor / divisor, which is exact; the
+    budget is ticked per term."""
+    for k, c in coeff.items():
+        if budget is not None:
+            budget.tick()
+        coeff[k] = c * factor // divisor
+    for index, (k, p, c) in enumerate(out):
+        if budget is not None:
+            budget.tick()
+        out[index] = (k, p, c * factor // divisor)
+
+
+def _divide_content(coeff: dict, out: list, budget) -> int:
+    """Divide the pending coefficients and the remainder's by their gcd, the
+    content, and return it; the budget is ticked per term."""
+    content = 0
+    for c in chain(coeff.values(), (c for _, _, c in out)):
+        if budget is not None:
+            budget.tick()
+        content = gcd(content, c)
+        if content == 1:
+            return 1
+    if content > 1:
+        _rescale(coeff, out, budget, 1, content)
+    return content or 1
 
 
 def reduce(f: Polynomial, divisors: Sequence[Polynomial], order: MonomialOrder,

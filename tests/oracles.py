@@ -69,14 +69,40 @@ def make_monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     return f * (1 / lc)
 
 
+def fraction_normal_form(f: Polynomial, divisors: Sequence[Polynomial],
+                         order: MonomialOrder) -> Polynomial:
+    """The division rule of `DivisorTable`, in Fractions only: the largest
+    pending term is rewritten against the first divisor whose leading
+    monomial divides it, or else moved to the remainder."""
+    leads = [(g, *leading_term(g, order)) for g in divisors if not g.is_zero]
+    pending, out = dict(f.terms), {}
+    while pending:
+        m = max(pending, key=order.key)
+        c = pending.pop(m)
+        for g, lm, lc in leads:
+            if monomial_divides(lm, m):
+                scale = Fraction(c) / Fraction(lc)
+                shift = monomial_div(m, lm)
+                for tm, tc in g.terms.items():
+                    if tm != lm:
+                        m2 = tuple(a + b for a, b in zip(tm, shift))
+                        pending[m2] = pending.get(m2, Fraction(0)) - scale * tc
+                        if not pending[m2]:
+                            del pending[m2]
+                break
+        else:
+            out[m] = c
+    return Polynomial(f.ring, out)
+
+
 def buchberger_reference(ideal: Ideal | Sequence[Polynomial], order: MonomialOrder = GREVLEX,
                          limits: ResourceLimits | Budget | None = None,
                          ring: PolyRing | None = None) -> GroebnerBasis:
     """`buchberger` with the basis kept as Polynomials and the pair update on
-    exponent tuples: the same normal strategy, the same Gebauer-Moeller
-    criteria and the same S-pair reductions in the same `DivisorTable`
-    kernel, so its reduced basis and its `EngineCounters` must equal the
-    package's exactly."""
+    exponent tuples: the same pair selection by (lcm degree, sugar, lcm),
+    the same Gebauer-Moeller criteria and the same S-pair reductions in the
+    same `DivisorTable` kernel, so its reduced basis and its
+    `EngineCounters` must equal the package's exactly."""
     budget = Budget.of(limits)
     counters = budget.counters
     if isinstance(ideal, Ideal):
@@ -91,9 +117,10 @@ def buchberger_reference(ideal: Ideal | Sequence[Polynomial], order: MonomialOrd
 
     basis: list = []
     lm: list = []
+    sugars: list = []  # a generator's total degree; a remainder's, the sugar of its pair
     table = DivisorTable((), order)
     active: list = []  # indices of elements no later leading monomial divides
-    pairs: list = []  # heap of (lcm degree, lcm key, i, j, lcm)
+    pairs: list = []  # heap of (lcm degree, sugar, lcm key, i, j, lcm)
 
     def update(k: int) -> None:
         mk = lm[k]
@@ -108,7 +135,7 @@ def buchberger_reference(ideal: Ideal | Sequence[Polynomial], order: MonomialOrd
                 counters.dropped_mf += 1
         old = []
         for pair in pairs:
-            _, _, i, j, lcm = pair
+            i, j, lcm = pair[3:]
             if (monomial_divides(mk, lcm) and monomial_lcm(lm[i], mk) != lcm
                     and monomial_lcm(lm[j], mk) != lcm):
                 counters.dropped_b += 1
@@ -118,18 +145,20 @@ def buchberger_reference(ideal: Ideal | Sequence[Polynomial], order: MonomialOrd
             if coprime:
                 counters.dropped_coprime += 1
             else:
-                old.append((sum(lcm), order.key(lcm), i, k, lcm))
+                sugar = sum(lcm) + max(sugars[i] - sum(lm[i]), sugars[k] - sum(mk))
+                old.append((sum(lcm), sugar, order.key(lcm), i, k, lcm))
         heapq.heapify(old)
         pairs[:] = old
         active[:] = [i for i in active if not monomial_divides(mk, lm[i])] + [k]
 
-    def insert(p: Polynomial) -> bool:
+    def insert(p: Polynomial, sugar: int) -> bool:
         p = primitive_part(p, order)
         budget.check_degree(p.total_degree())
         counters.max_coeff_bits = max(counters.max_coeff_bits,
                                       *(c.numerator.bit_length() for c in p.terms.values()))
         basis.append(p)
         lm.append(leading_term(p, order)[0])
+        sugars.append(sugar)
         budget.check_basis(len(basis))
         table.add(p)
         update(len(basis) - 1)
@@ -137,17 +166,17 @@ def buchberger_reference(ideal: Ideal | Sequence[Polynomial], order: MonomialOrd
 
     for g in sorted(gens, key=lambda g: (g.total_degree(), len(g.terms))):
         r = table.normal_form(g, budget)
-        if not r.is_zero and insert(r):
+        if not r.is_zero and insert(r, g.total_degree()):
             return GroebnerBasis(ring, order, (ring.one,))
 
     while pairs:
         budget.tick()
-        _, _, i, j, _ = heapq.heappop(pairs)
+        _, sugar, _, i, j, _ = heapq.heappop(pairs)
         counters.s_pairs += 1
         r = table.polynomial(table.s_pair(i, j, budget))
         if r.is_zero:
             counters.zero_reductions += 1
-        elif insert(r):
+        elif insert(r, sugar):
             return GroebnerBasis(ring, order, (ring.one,))
 
     minimal = [basis[i] for i in active]

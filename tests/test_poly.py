@@ -20,7 +20,7 @@ from repcount.poly import (
     reduce,
 )
 
-from oracles import make_monic, primitive_part
+from oracles import fraction_normal_form, make_monic, primitive_part
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
@@ -248,29 +248,17 @@ class TestDivision:
         assert "x[1,1,1]" in repr(f)
 
 
-def fraction_normal_form(f, divisors, order):
-    """The division rule of `DivisorTable`, in Fractions only: the largest
-    pending term is rewritten against the first divisor whose leading
-    monomial divides it, or else moved to the remainder."""
-    leads = [(g, *leading_term(g, order)) for g in divisors if not g.is_zero]
-    pending, out = dict(f.terms), {}
-    while pending:
-        m = max(pending, key=order.key)
-        c = pending.pop(m)
-        for g, lm, lc in leads:
-            if all(a <= b for a, b in zip(lm, m)):
-                scale = Fraction(c) / Fraction(lc)
-                shift = tuple(a - b for a, b in zip(m, lm))
-                for tm, tc in g.terms.items():
-                    if tm != lm:
-                        m2 = tuple(a + b for a, b in zip(tm, shift))
-                        pending[m2] = pending.get(m2, Fraction(0)) - scale * tc
-                        if not pending[m2]:
-                            del pending[m2]
-                break
-        else:
-            out[m] = c
-    return Polynomial(f.ring, out)
+class ExpiringBudget(Budget):
+    """A budget whose deadline passes after its first `ticks` ticks."""
+
+    def __init__(self, ticks):
+        super().__init__()
+        self.ticks = ticks
+
+    def tick(self):
+        self.ticks -= 1
+        if self.ticks < 0:
+            raise ResourceLimitExceeded("time")
 
 
 # integral coefficients most of the time, so the int path runs, and
@@ -303,6 +291,61 @@ class TestDivisorTable:
         r = DivisorTable(divisors, order).normal_form(f, Budget())
         assert r == fraction_normal_form(f, divisors, order)
         assert all(type(c) is Fraction for c in r.terms.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(poly_strategy(R3, max_terms=4, max_exp=2, coeffs=MIXED_COEFF),
+                    min_size=1, max_size=4),
+           poly_strategy(R3, max_terms=6, max_exp=4, coeffs=MIXED_COEFF),
+           st.booleans(), st.sampled_from([GREVLEX, LEX, BLOCK_GREVLEX, BLOCK_LEX]))
+    def test_remainder_is_the_fraction_remainder(self, divisors, f, primitive, order):
+        # non-monic divisors, integral or rational, make the fraction-free
+        # reduction rescale; its remainder is still exact, with an int
+        # wherever a coefficient is integral
+        if primitive:
+            divisors = [primitive_part(g, order) for g in divisors]
+        table = DivisorTable(divisors, order, R3)
+        expected = fraction_normal_form(f, divisors, order)
+        terms = table.remainder(table.pack(f), Budget())
+        assert table.polynomial(terms) == expected
+        assert [type(c) for _, _, c in terms] == \
+            [int if Fraction(c).denominator == 1 else Fraction for _, _, c in terms]
+        multiple = table.pseudo_remainder(table.pack(f))
+        assert all(type(c) is int for _, _, c in multiple)
+        assert make_monic(table.polynomial(multiple), order) == make_monic(expected, order)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(poly_strategy(R3, max_terms=4, max_exp=2, coeffs=MIXED_COEFF),
+                    min_size=1, max_size=5),
+           st.lists(poly_strategy(R3, max_terms=6, max_exp=4, coeffs=MIXED_COEFF),
+                    min_size=1, max_size=3),
+           st.sampled_from([GREVLEX, LEX, BLOCK_GREVLEX, BLOCK_LEX]))
+    def test_remembered_divisors_hold_as_the_table_grows(self, divisors, fs, order):
+        # the first divisors and the misses a table remembers from earlier
+        # reductions must give what a fresh table of the same entries gives
+        grown = DivisorTable((), order, R3)
+        for count, g in enumerate(divisors, 1):
+            grown.add(g)
+            fresh = DivisorTable(divisors[:count], order, R3)
+            assert grown.entries == fresh.entries
+            for f in fs:
+                grown_budget, fresh_budget = Budget(), Budget()
+                assert grown.remainder(grown.pack(f), grown_budget) == \
+                    fresh.remainder(fresh.pack(f), fresh_budget)
+                assert grown_budget.counters.normal_form_steps == \
+                    fresh_budget.counters.normal_form_steps
+
+    def test_a_rescaling_step_ticks_the_budget(self):
+        # x^2 has coefficient 1, which the ~10^4-bit leading coefficient does
+        # not divide, so the first step multiplies every pending term by it;
+        # a budget that expires after that step's tick stops the rescaling
+        divisors = [X * X * 3 ** 6300 - Y * Z]
+        f = X * X + sum((Y ** i * Z ** j for i in range(3) for j in range(3 - i)), R3.zero)
+        with pytest.raises(ResourceLimitExceeded) as info:
+            DivisorTable(divisors, GREVLEX).normal_form(f, ExpiringBudget(1))
+        assert info.value.kind == "time"
+        assert "_rescale" in [entry.name for entry in info.traceback]
+        assert DivisorTable(divisors, GREVLEX).normal_form(f, Budget()) == \
+            fraction_normal_form(f, divisors, GREVLEX)
 
     def test_inexact_leading_coefficient_falls_back_to_fractions(self):
         table = DivisorTable([X * 2 - 3, Y * 3 + 1], GREVLEX)
