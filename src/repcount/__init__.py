@@ -73,7 +73,6 @@ from .presentation import (
     ZeroRelationWarning,
     format_presentation,
     parse_presentation,
-    substitute,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

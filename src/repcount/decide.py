@@ -13,7 +13,9 @@ forms against the relations ideal before the saturation: entries of word
 products are reduced as the products are formed, which keeps the
 intermediate polynomials small.  The saturation then runs at the certificate
 values or at a Groebner basis of what they add to the relations ideal,
-whichever set is smaller.  None of this changes the saturated ideal.
+whichever set is smaller, and at all of them at once: one elimination that
+extends the relations basis (`saturate_principal`), with no saturation per
+multiplier and no intersections.  None of this changes the saturated ideal.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .groebner import (
     ResourceLimitExceeded,
     ResourceLimits,
     buchberger,
-    intersect,
     saturate_principal,
 )
 from .linalg import PolyEchelon
@@ -282,12 +283,15 @@ def _shrink_multipliers(relations_basis: GroebnerBasis, values: Sequence[Polynom
     (relations + certificates) that do not lie in the relations ideal give
     the same locus.  That basis can be smaller than the values (9 values
     become 1 multiplier on the free algebra on two generators at n = 2) or
-    larger (1 value becomes 4 on Q[S3]); every multiplier costs a
-    saturation, so the smaller set wins and the basis wins ties.  The basis
-    extends the relations basis, the reduced basis for `order`, by the values.
+    larger (1 value becomes 4 on Q[S3]).  Every multiplier is one more term
+    of the saturation's h (see `saturate_principal`) and, past powers of 2,
+    one more eliminated variable, so the smaller set wins and the basis wins
+    ties.  A single value is kept as it is: no basis has fewer elements.
+    The basis extends the relations basis, the reduced basis for `order`, by
+    the values.
     """
-    if not values:
-        return []
+    if len(values) < 2:
+        return list(values)
     gb_all = buchberger(values, order, budget, ring=relations_basis.ring,
                         known=relations_basis.elements)
     shrunk = [g for g in gb_all.elements if not relations_basis.normal_form(g, budget).is_zero]
@@ -296,19 +300,17 @@ def _shrink_multipliers(relations_basis: GroebnerBasis, values: Sequence[Polynom
 
 def saturated_locus(relations_basis: GroebnerBasis, values: Sequence[Polynomial],
                     order: MonomialOrder, limits=None) -> tuple:
-    """(locus, multipliers): the reduced basis of the relations ideal
-    saturated at the certificate values, and the multipliers it was
+    """(locus, multipliers): the reduced basis for `order` of the relations
+    ideal saturated at the certificate values, and the multipliers it was
     saturated at.
 
     The values are reduced modulo the relations and zeros and duplicates up
     to sign dropped.  None left means no certificate survives anywhere on
     the variety, so the locus is empty: the unit ideal.  A nonzero constant
     leaves the relations ideal itself (I : 1^infinity = I; the convention at
-    n = 1).  Otherwise the saturation at the smaller multiplier set of
-    `_shrink_multipliers` is the intersection of single-multiplier
-    saturations.  Each one extends the relations basis, the reduced basis
-    for `order`, instead of starting from the raw generators, and returns
-    the reduced basis for `order`, as the intersections do.
+    n = 1).  Otherwise the locus is one `saturate_principal` at the smaller
+    multiplier set of `_shrink_multipliers`: a single elimination that
+    extends the relations basis, the reduced basis for `order`.
     """
     budget = Budget.of(limits)
     ring = relations_basis.ring
@@ -328,23 +330,7 @@ def saturated_locus(relations_basis: GroebnerBasis, values: Sequence[Polynomial]
     if constant is not None:
         return relations_basis, [constant]
     multipliers = _shrink_multipliers(relations_basis, reduced, order, budget)
-    acc_gb: GroebnerBasis | None = None
-    ordered = sorted(multipliers, key=lambda p: (p.total_degree(), p.num_terms()))
-    for g in ordered:
-        budget.tick()
-        part_gb = saturate_principal(relations_basis, g, budget)
-        if part_gb.is_unit:
-            continue
-        if acc_gb is None:
-            acc_gb = part_gb
-            continue
-        if all(part_gb.normal_form(h, budget).is_zero for h in acc_gb.elements):
-            continue  # acc is already inside this part
-        meet = intersect(acc_gb.as_ideal(), part_gb.as_ideal(), budget, order)
-        acc_gb = GroebnerBasis(ring, order, meet.generators)
-    if acc_gb is None:
-        return buchberger([ring.one], order, budget, ring=ring), multipliers
-    return acc_gb, multipliers
+    return saturate_principal(relations_basis, *multipliers, limits=budget), multipliers
 
 
 # -- the pipeline -----------------------------------------------------------

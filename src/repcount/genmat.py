@@ -5,7 +5,7 @@ commutative ring B = Q[x[i,j,l]] and send the l-th algebra generator to the
 generic matrix (x[i,j,l]).  This module builds:
 
   * the relations ideal: all matrix entries of the defining relations
-    evaluated on generic matrices;
+    evaluated on generic matrices, read off the packed word matrices;
   * trace generators: traces of words of length <= n^2, one per cyclic
     class (enough to generate the trace ring, by Razmyslov's bound);
   * the irreducibility certificates: polynomials of the form
@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 from .groebner import Budget, Ideal
 from .matrices import Matrix
 from .poly import GREVLEX, DivisorTable, PolyRing, Polynomial, matrix_entry
-from .presentation import Presentation, format_word, substitute
+from .presentation import Presentation, format_word
 
 
 @dataclass(frozen=True)
@@ -62,23 +62,24 @@ def build_generic_space(n: int, s: int) -> GenericMatrixSpace:
 
 
 def relations_ideal(p: Presentation, space: GenericMatrixSpace) -> Ideal:
-    """Ideal of B generated by all entries of the relations on generic matrices."""
+    """Ideal of B generated by all entries of the relations on generic
+    matrices: the nonzero ones, relation by relation, row by row.  Each
+    entry is read off the relation's word matrices, from `_word_matrices`
+    on an empty table, where the empty word's is the identity."""
     if p.num_generators != space.s:
         raise ValueError("presentation has %d generators, space expects %d"
                          % (p.num_generators, space.s))
+    table = DivisorTable((), GREVLEX, space.ring)
+    words = [w for rel in p.relations for w in rel.terms]
+    matrices = dict(_word_matrices(space, words, table, Budget()))
     gens = []
     for rel in p.relations:
-        if space.s:
-            m = substitute(rel, space.matrices)
-        else:
-            m = Matrix.identity(space.n, space.ring.one, space.ring.zero) * rel.terms.get((), 0)
-        for row in m.rows:
-            for entry in row:
-                if not isinstance(entry, Polynomial):
-                    # all-constant relations substitute to plain scalars
-                    entry = space.ring.constant(entry)
-                if not entry.is_zero:
-                    gens.append(entry)
+        for i in range(space.n):
+            for j in range(space.n):
+                entry = table.remainder([(k, q, c * e) for w, c in rel.terms.items()
+                                         for k, q, e in matrices[w][i][j]])
+                if entry:
+                    gens.append(table.polynomial(entry))
     return Ideal(space.ring, gens)
 
 

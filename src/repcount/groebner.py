@@ -28,6 +28,7 @@ from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
+from math import prod
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -370,22 +371,24 @@ def intersect(a: Ideal, b: Ideal, limits=None, order: MonomialOrder = GREVLEX) -
 
 
 def _eliminate_new_variable(ring: PolyRing, order: MonomialOrder, generators, budget: Budget,
-                            known: Sequence[Polynomial] = ()) -> list:
+                            known: Sequence[Polynomial] = (), extra: int = 0) -> list:
     """The reduced basis for `order` of the intersection with `ring` of the
-    ideal that `known` and generators(ext, w) span in `ring` extended by a
-    new top variable w: the elements free of w of the reduced basis for the
-    block order that eliminates w and compares the rest by `order`.
+    ideal that `known` and generators(ext, w, ts) span in `ring` extended by
+    a new top variable w and `extra` new variables ts below it: the elements
+    free of w and the ts of the reduced basis for the block order that
+    eliminates them all at once and compares the rest by `order`.
 
     A reduced basis for `order` in `ring`, passed as `known`, is one for
     the block order too, so it is extended, not rebuilt.
     """
-    w = ring.fresh_auxiliary("_w")
-    ext = ring.extended(w, top=True)
-    wpos = ext.position[w]
-    block = MonomialOrder.elimination((wpos,), ext.nvars(), order.scheme)
-    gb = buchberger(generators(ext, ext.variable(w)), block, budget, ring=ext,
-                    known=[ext.transfer(h) for h in known])
-    return [ring.transfer(g) for g in gb.elements if wpos not in g.support_positions()]
+    ext = ring
+    for tag in ["_t"] * extra + ["_w"]:
+        ext = ext.extended(ext.fresh_auxiliary(tag), top=True)
+    dropped = range(extra + 1)  # the positions of w, then of the ts
+    block = MonomialOrder.elimination(dropped, ext.nvars(), order.scheme)
+    gb = buchberger(generators(ext, *(ext.variable(ext.variables[p]) for p in dropped)), block,
+                    budget, ring=ext, known=[ext.transfer(h) for h in known])
+    return [ring.transfer(g) for g in gb.elements if all(p > extra for p in g.support_positions())]
 
 
 def _canonical(ideal: Ideal, budget: Budget, order: MonomialOrder = GREVLEX) -> Ideal:
@@ -405,21 +408,53 @@ def ideal_quotient(ideal: Ideal, f: Polynomial, limits=None) -> Ideal:
     return Ideal(ideal.ring, [exact_divide(g, f) for g in meet.generators])
 
 
-def saturate_principal(basis: GroebnerBasis | Ideal, g: Polynomial, limits=None) -> GroebnerBasis:
-    """(basis : g^infinity) in a single elimination: adjoin 1 - w*g, drop w.
+def saturate_principal(basis: GroebnerBasis | Ideal, *gens: Polynomial,
+                       limits=None) -> GroebnerBasis:
+    """(basis : <gens>^infinity) in a single elimination.
 
-    One Groebner basis, where iterating colon ideals to a fixpoint would
-    take many.  `basis` is a reduced Groebner basis (an Ideal is first
-    given its grevlex one); the elimination extends it by 1 - w*g, and the
-    saturation comes back as the reduced basis in its order.
+    With gens g_0..g_{r-1}, take k = ceil(log2 r) new variables t_1..t_k
+    and h = sum_i m_i * g_i, where m_i is the squarefree monomial in the ts
+    whose exponents are the binary digits of i (m_0 = 1, so one multiplier
+    needs no t).  Adjoin 1 - w*h and drop w and the ts:
+
+        (I*B[t] : h^infinity) ∩ B = I : J^infinity,  J = <g_0..g_{r-1}>.
+
+    Proof.  Let I = Q_1 ∩ .. ∩ Q_s be a primary decomposition, Q_j
+    P_j-primary.  Then I*B[t] = ∩ Q_j*B[t], with Q_j*B[t] primary to the
+    prime P_j*B[t].  A polynomial of B[t] lies in P*B[t] exactly when its
+    coefficients as a polynomial in the ts do, and the m_i are distinct
+    monomials, so h lies in P_j*B[t] exactly when every g_i lies in P_j,
+    that is when J ⊆ P_j.  Saturating at h therefore keeps exactly the
+    Q_j*B[t] with J not inside P_j, each of which contracts to Q_j in B;
+    the intersection of those Q_j is I : J^infinity.  And (K + <1 - w*h>)
+    ∩ B[t] = K : h^infinity is the one elimination.
+
+    The monomials are binary, not m_i = t^(i-1) in a single t, because
+    h's degree counts against the budget's degree cap: that would add
+    r - 1 to it (a 3-generator quantum plane at n = 2 already has 44
+    multipliers), binary monomials add at most k.
+
+    `basis` is a reduced Groebner basis (an Ideal is first given its
+    grevlex one); the elimination extends it by 1 - w*h, and the
+    saturation comes back as the reduced basis in its order.  A constant
+    among the gens leaves the basis as it is.
     """
     budget = Budget.of(limits)
-    if g.is_zero:
-        raise ValueError("saturation by the zero polynomial")
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        raise ValueError("saturation at the zero ideal")
     if isinstance(basis, Ideal):
         basis = buchberger(basis, GREVLEX, budget)
-    if g.is_constant or not basis.elements:
+    if any(g.is_constant for g in gens) or not basis.elements:
         return basis
+    extra = (len(gens) - 1).bit_length()
+
+    def generators(ext, w, *ts):
+        h = ext.zero
+        for i, g in enumerate(gens):
+            m = prod((t for b, t in enumerate(ts) if i >> b & 1), start=ext.one)  # m_i
+            h = h + m * ext.transfer(g)
+        return [ext.one - w * h]
+
     return GroebnerBasis(basis.ring, basis.order, _eliminate_new_variable(
-        basis.ring, basis.order, lambda ext, w: [ext.one - w * ext.transfer(g)], budget,
-        basis.elements))
+        basis.ring, basis.order, generators, budget, basis.elements, extra))

@@ -10,8 +10,6 @@ oriented:
     relation: 2/3 * X^2
 
 Powers are expanded at parse time, so relations are stored as plain words.
-`substitute` evaluates an element on a tuple of square matrices (the empty
-word becomes the identity), which is all the representation theory needs.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
-from .matrices import Matrix
 from .poly import signed_sum
 
 Word = tuple  # tuple of 0-based generator indices; () is the empty word
@@ -407,30 +404,3 @@ def format_presentation(p: Presentation) -> str:
     lines = ["generators: " + " ".join(names)]
     lines += ["relation: " + format_element(r, names) for r in p.relations]
     return "\n".join(lines) + "\n"
-
-
-def substitute(e: FreeElement, images: Sequence[Matrix], dim: int | None = None) -> Matrix:
-    """Evaluate a free element on matrices, one image per generator.
-
-    Words become ordered products, the empty word the identity, and the
-    result is the rational (or polynomial) matrix sum.  `dim` is only needed
-    when there are no images to infer it from.
-    """
-    if dim is None:
-        if not images:
-            raise ValueError("cannot infer the matrix dimension without images")
-        dim = images[0].nrows
-    for m in images:
-        if m.nrows != dim or m.ncols != dim:
-            raise ValueError("images must all be %d x %d" % (dim, dim))
-    if e.max_letter() >= len(images):
-        raise ValueError("element uses generator %d but only %d images given"
-                         % (e.max_letter() + 1, len(images)))
-    total = None
-    for w, c in e.sorted_terms():
-        prod = Matrix.identity(dim)
-        for letter in w:
-            prod = prod * images[letter]
-        prod = prod * c
-        total = prod if total is None else total + prod
-    return total if total is not None else Matrix.zeros(dim)

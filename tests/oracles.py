@@ -27,6 +27,7 @@ from repcount.poly import (
     monomial_div,
     monomial_divides,
 )
+from repcount.presentation import FreeElement
 
 
 def monomial_lcm(a: tuple, b: tuple) -> tuple:
@@ -261,6 +262,34 @@ def word_matrix(space: GenericMatrixSpace, word: Sequence[int]) -> Matrix:
     return out
 
 
+def substitute(e: FreeElement, images: Sequence[Matrix], dim: int | None = None) -> Matrix:
+    """Evaluate a free element on matrices, one image per generator.
+
+    Words become ordered products, the empty word the identity, and the
+    result is the rational (or polynomial) matrix sum.  `dim` is only needed
+    when there are no images to infer it from.  The reference for
+    `relations_ideal`, which reads the entries off packed word matrices.
+    """
+    if dim is None:
+        if not images:
+            raise ValueError("cannot infer the matrix dimension without images")
+        dim = images[0].nrows
+    for m in images:
+        if m.nrows != dim or m.ncols != dim:
+            raise ValueError("images must all be %d x %d" % (dim, dim))
+    if e.max_letter() >= len(images):
+        raise ValueError("element uses generator %d but only %d images given"
+                         % (e.max_letter() + 1, len(images)))
+    total = None
+    for w, c in e.sorted_terms():
+        prod = Matrix.identity(dim)
+        for letter in w:
+            prod = prod * images[letter]
+        prod = prod * c
+        total = prod if total is None else total + prod
+    return total if total is not None else Matrix.zeros(dim)
+
+
 def multiplication_matrix(structure: Sequence[Sequence[dict]], i: int) -> tuple:
     """Matrix of multiplication by basis[i], rows indexed by target, from a
     structure table: basis[i] * basis[k] = sum_l structure[i][k][l] * basis[l]."""
@@ -278,8 +307,9 @@ def saturate(ideal: Ideal, multipliers: Sequence[Polynomial], limits=None) -> Id
     Iterates K <- intersection over g of (K : g) until the reduced basis
     stabilizes; each round multipliers are first reduced modulo K, and ones
     reducing to zero drop out (if all do, the saturation is the unit ideal).
-    The package saturates with `saturate_principal`, one elimination per
-    multiplier; this independent route is the oracle it is checked against.
+    The package saturates with `saturate_principal`, one elimination for
+    all multipliers; this independent route is the oracle it is checked
+    against.
     """
     budget = Budget.of(limits)
     if not multipliers:

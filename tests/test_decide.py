@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repcount import decide, groebner
 from repcount.decide import (
     DecisionInput,
     MinimalPolynomial,
@@ -139,6 +140,14 @@ class TestLocusIdeal:
         assert locus is relations
         assert multipliers == [R2.one]
 
+    def test_multipliers_that_are_not_nested(self):
+        # <uv> : <u, v>^infinity keeps both lines, whose primes <u> and <v>
+        # do not contain <u, v>; saturating at the product uv instead would
+        # give the unit ideal
+        locus, multipliers = saturated_locus(basis_of(U * V), [U, V], GREVLEX)
+        assert len(multipliers) == 2
+        assert locus == basis_of(U * V)
+
     def test_multipliers_are_the_smaller_set(self):
         # <u^2 - v, uv - 1> has the 3-element basis {u^2 - v, uv - 1, v^2 - u},
         # so the two values win; three values spanning <u> shrink to {u}
@@ -147,6 +156,8 @@ class TestLocusIdeal:
         assert _shrink_multipliers(empty, values, GREVLEX, Budget()) == values
         shrunk = _shrink_multipliers(empty, [U, U * V, U + U * V], GREVLEX, Budget())
         assert shrunk == [U]
+        # a single value is kept, with no basis built
+        assert _shrink_multipliers(empty, [U * U - V], GREVLEX, Budget()) == [U * U - V]
 
 
 D5 = """generators: a, b
@@ -156,21 +167,51 @@ relation: a*b*a*b - 1
 """
 
 
+IDEMPOTENTS = """generators: e, f
+relation: e^2 - e
+relation: f^2 - f
+"""
+
+
 class TestLocusOracle:
-    @pytest.mark.parametrize("presentation", [
-        pytest.param(load("s3"), id="s3"),
-        pytest.param(parse_presentation(D5, name="d5"), id="D5"),
+    @pytest.mark.parametrize("presentation, outcome, multipliers", [
+        pytest.param(load("s3"), Outcome.FINITE, 1, id="s3"),
+        pytest.param(parse_presentation(D5, name="d5"), Outcome.FINITE, 2, id="D5"),
+        pytest.param(load("qplane"), Outcome.INFINITE, 2, id="qplane"),
+        pytest.param(parse_presentation(IDEMPOTENTS, name="idempotents"), Outcome.INFINITE, 3,
+                     id="idempotents"),
     ])
-    def test_locus_equals_fixpoint_saturation(self, presentation):
-        # the pipeline saturates the relations basis one multiplier at a
-        # time; the oracle saturate iterates colon ideals of the raw relations
-        # at all certificate values together until they stabilize
+    def test_locus_equals_fixpoint_saturation(self, presentation, outcome, multipliers):
+        # the pipeline saturates the relations basis at all multipliers in
+        # one elimination; the oracle saturate iterates colon ideals of the
+        # raw relations at all certificate values until they stabilize
         run = run_pipeline(DecisionInput(presentation, 2))
-        assert run.verdict.outcome is Outcome.FINITE
+        assert run.verdict.outcome is outcome
+        assert run.verdict.metrics.multipliers == multipliers
         values, _ = collapsed_certificate_values(
             run.space, run.relations_basis, length_bound(2), Budget())
         oracle = saturate(run.relations, values)
         assert buchberger(oracle, GREVLEX) == run.locus_basis
+
+
+class TestOneSaturation:
+    def test_one_saturation_and_no_intersection(self, monkeypatch):
+        # three multipliers, saturated at once: one elimination, no meets
+        calls = []
+        real = decide.saturate_principal
+
+        def counted(*args, **kwargs):
+            calls.append(len(args) - 1)
+            return real(*args, **kwargs)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("intersect called")
+
+        monkeypatch.setattr(decide, "saturate_principal", counted)
+        monkeypatch.setattr(groebner, "intersect", unused)
+        run = run_pipeline(DecisionInput(parse_presentation(IDEMPOTENTS), 2))
+        assert run.verdict.outcome is Outcome.INFINITE
+        assert calls == [3]
 
 
 class TestCollapsedValues:

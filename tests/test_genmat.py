@@ -33,7 +33,7 @@ from repcount.poly import GREVLEX, DivisorTable, MonomialOrder
 from repcount.presentation import parse_presentation
 
 from conftest import load
-from oracles import all_words, standard_identity, word_matrix
+from oracles import all_words, standard_identity, substitute, word_matrix
 
 
 def rational_matrix(rng, d):
@@ -206,6 +206,17 @@ class TestSpace:
         ideal = relations_ideal(p, space)
         assert len(ideal.generators) == 2  # both diagonal entries of 1*I
         assert all(g.is_constant for g in ideal.generators)
+
+    @pytest.mark.parametrize("name", ["s3", "qplane", "weyl", "imaginary_unit"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_relations_ideal_matches_substitution(self, name, n):
+        # the entries read off the packed word matrices are the nonzero
+        # entries of the substituted relations, in the same order
+        p = load(name)
+        space = build_generic_space(n, p.num_generators)
+        expected = [e for rel in p.relations for row in substitute(rel, space.matrices).rows
+                    for e in row if not e.is_zero]
+        assert list(relations_ideal(p, space).generators) == expected
 
     def test_generator_count_mismatch(self):
         p = parse_presentation("generators: X\n")

@@ -436,14 +436,27 @@ class TestSaturationModes:
                 assert equal_ideals(left, right), (ideal.generators, g)
 
     def test_multi_multiplier_saturation(self):
-        # <u^2 * v^2> : (u, v)^inf = <1>?  No: (u*v)^2 is in the ideal but
-        # <u, v> is not contained in the radical... check against the
-        # intersection of the principal saturations instead.
+        # <u^2 v^2> has the primary components <u^2> and <v^2>, and neither
+        # prime contains <u, v>, so saturating at <u, v> keeps them both;
+        # saturating at u alone gives <v^2> and at v alone <u^2>
         ideal = Ideal(R2, [U * U * V * V])
-        sat = saturate(ideal, [U, V])
+        sat = saturate_principal(ideal, U, V)
+        assert equal_ideals(sat.as_ideal(), saturate(ideal, [U, V]))
         left = saturate_principal(ideal, U)
         right = saturate_principal(ideal, V)
-        assert equal_ideals(sat, intersect(left.as_ideal(), right.as_ideal()))
+        assert equal_ideals(sat.as_ideal(), intersect(left.as_ideal(), right.as_ideal()))
+        assert equal_ideals(sat.as_ideal(), ideal)
+
+    def test_saturation_at_several_multipliers_matches_iterated(self):
+        # 3, 4 and 2 multipliers, which take 2, 2 and 1 new variables t
+        cases = [
+            (Ideal(R, [X * X * Y, X * Z * Z - X * Z]), [X, Y, Z]),
+            (Ideal(R, [X * Y * Z, X * X - X]), [X + Y, Y * Z, Z - 1, X * Z]),
+            (Ideal(R2, [(U * V - 1) * U * U, V * V * V]), [U, V - 1]),
+        ]
+        for ideal, gens in cases:
+            sat = saturate_principal(ideal, *gens)
+            assert equal_ideals(sat.as_ideal(), saturate(ideal, gens)), (ideal.generators, gens)
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
     def test_saturation_extends_the_basis_in_its_order(self, order):
@@ -462,6 +475,12 @@ class TestSaturationModes:
         ideal = Ideal(R2, [U * U - V])
         sat = saturate_principal(ideal, R2.constant(5))
         assert equal_ideals(sat, ideal)
+        sat = saturate_principal(ideal, U, R2.constant(5))
+        assert equal_ideals(sat.as_ideal(), ideal)
+
+    def test_zero_multipliers_are_rejected(self):
+        with pytest.raises(ValueError):
+            saturate_principal(Ideal(R2, [U * V]), R2.zero)
 
 
 class TestLimits:

@@ -17,8 +17,9 @@ from repcount.presentation import (
     format_element,
     format_presentation,
     parse_presentation,
-    substitute,
 )
+
+from oracles import substitute
 
 NAMES = ["a", "b", "c"]
 
