@@ -15,7 +15,6 @@ from .count import (
     CountReport,
     FiniteDimAlgebra,
     InfiniteRepresentations,
-    TraceFormReport,
     build_quotient_algebra,
     count_classes,
     count_from_run,
@@ -51,11 +50,10 @@ from .groebner import (
     ResourceLimitExceeded,
     ResourceLimits,
     buchberger,
-    ideal_quotient,
     intersect,
     saturate_principal,
 )
-from .matrices import Matrix, trace_of_product
+from .matrices import Matrix
 from .poly import (
     MonomialOrder,
     PolyRing,
@@ -64,7 +62,6 @@ from .poly import (
     auxiliary,
     leading_term,
     matrix_entry,
-    reduce,
 )
 from .presentation import (
     FreeElement,

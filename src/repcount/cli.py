@@ -23,7 +23,7 @@ import traceback
 from pathlib import Path
 
 from .count import CountReport, InfiniteRepresentations, build_quotient_algebra, count_from_run
-from .decide import DecisionInput, Outcome, PipelineRun, RunOptions, run_pipeline
+from .decide import DEFAULT_LIMITS, DecisionInput, Outcome, PipelineRun, RunOptions, run_pipeline
 from .genmat import certificate_words, certificates, length_bound, trace_generators
 from .groebner import ResourceLimitExceeded, ResourceLimits
 from .presentation import PresentationError, parse_presentation
@@ -48,18 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--dump", action="append", choices=_DUMP_CHOICES, default=[],
                         metavar="WHAT", help="write intermediates to stderr; repeatable; "
                         "one of %s" % (", ".join(_DUMP_CHOICES)))
-        cmd.add_argument("--max-seconds", type=float, default=300.0,
-                        help="wall clock budget (<= 0 disables; default 300)")
-        cmd.add_argument("--max-degree", type=int, default=60,
-                        help="abort past this polynomial degree (default 60)")
-        cmd.add_argument("--max-basis", type=int, default=20000,
-                        help="abort past this many basis elements (default 20000)")
+        cmd.add_argument("--max-seconds", type=float, default=DEFAULT_LIMITS.max_seconds,
+                        help="wall clock budget (<= 0 disables; default %g)"
+                        % DEFAULT_LIMITS.max_seconds)
+        cmd.add_argument("--max-degree", type=int, default=DEFAULT_LIMITS.max_degree,
+                        help="abort past this polynomial degree (default %d)"
+                        % DEFAULT_LIMITS.max_degree)
+        cmd.add_argument("--max-basis", type=int, default=DEFAULT_LIMITS.max_basis,
+                        help="abort past this many basis elements (default %d)"
+                        % DEFAULT_LIMITS.max_basis)
         cmd.add_argument("--order", choices=("grevlex", "lex"), default="grevlex",
                         help="monomial order for non-elimination bases")
-        cmd.add_argument("--length-bound-override", type=int, default=None,
-                        help="replace the computed bound on the length of the "
-                        "power-free certificate words (below it, the verdict is "
-                        "not certified)")
     return parser
 
 
@@ -76,22 +75,14 @@ def _options(args: argparse.Namespace) -> RunOptions:
         else args.max_seconds,
         max_degree=args.max_degree,
         max_basis=args.max_basis)
-    return RunOptions(order=args.order, limits=limits,
-                      length_bound_override=args.length_bound_override)
+    return RunOptions(order=args.order, limits=limits)
 
 
 def _run(args: argparse.Namespace) -> PipelineRun:
-    """Parse the input and run the pipeline; warn on stderr when the verdict
-    will not be a proof."""
+    """Parse the input and run the pipeline."""
     text, name = _read_input(args.path)
     presentation = parse_presentation(text, name=name)
-    decision_input = DecisionInput(presentation, args.dimension, _options(args))
-    if not decision_input.certified:
-        print("warning: --length-bound-override %d is below the proven bound %d; "
-              "the result is not certified"
-              % (decision_input.word_length_bound, length_bound(args.dimension)),
-              file=sys.stderr)
-    return run_pipeline(decision_input)
+    return run_pipeline(DecisionInput(presentation, args.dimension, _options(args)))
 
 
 def _json_payload(run: PipelineRun, report: CountReport | None,
@@ -112,7 +103,6 @@ def _json_payload(run: PipelineRun, report: CountReport | None,
     return {
         **head,
         "verdict": verdict.outcome.value,
-        "certified": run.input.certified,
         "count": report.count if report is not None else None,
         "witness": verdict.witness.render() if verdict.witness else None,
         "minimal_polynomials": minimal,
@@ -168,7 +158,7 @@ def _dump_certificates(run: PipelineRun, err) -> None:
         print("# certificate set for n = 1", file=err)
         print("1", file=err)
         return
-    max_len = run.input.word_length_bound
+    max_len = length_bound(n)
     print("# certificates tr(M0 * s_%d(...)), one per set of %d words up to length %d "
           "with no factor u^%d" % (2 * (n - 1), 2 * n - 1, max_len, n), file=err)
     emitted = 0

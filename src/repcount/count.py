@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .decide import Outcome, PipelineRun, _Stopwatch
+from .decide import Outcome, PipelineRun
 from .genmat import TraceGenerator
 from .groebner import Budget, GroebnerBasis, ResourceLimitExceeded
 from .linalg import PolyEchelon, matrix_rank
-from .poly import _int_if_integral
+from .poly import int_if_integral
 
 
 class InfiniteRepresentations(Exception):
@@ -125,21 +125,16 @@ def build_quotient_algebra(locus: GroebnerBasis, generators: Sequence[TraceGener
                 target[k] = target.get(k, 0) + s * c
         functionals[i] = None
     trace = functionals[0]
-    traces = tuple(_int_if_integral(trace.get(k, 0)) for k in range(d))
+    traces = tuple(int_if_integral(trace.get(k, 0)) for k in range(d))
     return FiniteDimAlgebra(tuple(basis), tuple(parents),
                             tuple(tuple(column) for column in columns), traces)
 
 
-@dataclass(frozen=True)
-class TraceFormReport:
-    gram: tuple  # tuple of tuples of int | Fraction, int where integral
-    rank: int
-
-
-def trace_form(algebra: FiniteDimAlgebra, limits=None) -> TraceFormReport:
-    """Gram matrix Tr(b_i b_j) of the regular-representation trace form:
-    row 0 is the traces, and row i is row p composed with L_g for
-    b_i = b_p * g, G[i][j] = sum_l L_g[l][j] G[p][l]."""
+def trace_form(algebra: FiniteDimAlgebra, limits=None) -> tuple:
+    """Gram matrix Tr(b_i b_j) of the regular-representation trace form, a
+    tuple of rows of ints (Fractions where not integral): row 0 is the
+    traces, and row i is row p composed with L_g for b_i = b_p * g,
+    G[i][j] = sum_l L_g[l][j] G[p][l]."""
     budget = Budget.of(limits)
     d = algebra.dimension
     gram = [list(algebra.traces)] + [[None] * d for _ in range(1, d)]
@@ -152,9 +147,8 @@ def trace_form(algebra: FiniteDimAlgebra, limits=None) -> TraceFormReport:
             total = 0
             for l, c in column[j].items():
                 total += c * source[l]
-            row[j] = total if type(total) is int else _int_if_integral(total)
-    gram = tuple(tuple(row) for row in gram)
-    return TraceFormReport(gram, matrix_rank(gram, budget))
+            row[j] = total if type(total) is int else int_if_integral(total)
+    return tuple(tuple(row) for row in gram)
 
 
 @dataclass(frozen=True)
@@ -179,15 +173,18 @@ def count_classes(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
         return CountReport(0, 0, (), 0)
     budget = Budget.of(limits)
     algebra = build_quotient_algebra(locus, generators, budget)
-    report = trace_form(algebra, budget)
-    return CountReport(report.rank, algebra.dimension, report.gram, report.rank, algebra)
+    gram = trace_form(algebra, budget)
+    rank = matrix_rank(gram, budget)
+    return CountReport(rank, algebra.dimension, gram, rank, algebra)
 
 
 def count_from_run(run: PipelineRun, limits=None) -> CountReport:
     """Count for a finished decision run; refuses infinite or unsettled runs.
 
     The count runs on the run's own budget unless other limits are given,
-    so one deadline covers deciding and counting.
+    so one deadline covers deciding and counting.  With explicit limits, the
+    count's engine counters and seconds go to that budget, not to the run's
+    metrics.
     """
     verdict = run.verdict
     if verdict.outcome is Outcome.INFINITE:
@@ -198,7 +195,7 @@ def count_from_run(run: PipelineRun, limits=None) -> CountReport:
         raise ResourceLimitExceeded(
             "time", verdict.inconclusive_reason or "decision did not complete")
     budget = run.budget if limits is None else Budget.of(limits)
-    with _Stopwatch(budget, verdict.metrics.timings).stage("count"):
+    with budget.stage("count"):
         report = count_classes(run.locus_basis, run.generators, budget)
     verdict.metrics.algebra_dimension = report.algebra_dimension
     verdict.metrics.gram_rank = report.rank

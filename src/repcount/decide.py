@@ -20,8 +20,6 @@ multiplier and no intersections.  None of this changes the saturated ideal.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -60,13 +58,10 @@ DEFAULT_LIMITS = ResourceLimits(max_seconds=300.0, max_degree=60, max_basis=2000
 class RunOptions:
     order: str = "grevlex"  # base order for non-elimination bases
     limits: ResourceLimits = DEFAULT_LIMITS
-    length_bound_override: int | None = None
 
     def __post_init__(self):
         if self.order not in ("lex", "grevlex"):
             raise ValueError("order must be 'lex' or 'grevlex'")
-        if self.length_bound_override is not None and self.length_bound_override < 0:
-            raise ValueError("length bound override must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -78,22 +73,6 @@ class DecisionInput:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("representation dimension must be at least 1")
-
-    @property
-    def word_length_bound(self) -> int | None:
-        """Length cap on the certificate words: the override, or else
-        `length_bound(n)`; None at n = 1, which needs no certificates."""
-        if self.n == 1:
-            return None
-        if self.options.length_bound_override is not None:
-            return self.options.length_bound_override
-        return length_bound(self.n)
-
-    @property
-    def certified(self) -> bool:
-        """Whether a verdict is a proof: False only when the override caps
-        the certificate words below the proven bound."""
-        return self.n == 1 or self.word_length_bound >= length_bound(self.n)
 
 
 class Outcome(str, Enum):
@@ -147,7 +126,7 @@ class PipelineMetrics:
     gram_rank: int | None = None
     engine: EngineCounters = field(default_factory=EngineCounters)  # the run budget's
     engine_by_stage: dict = field(default_factory=dict)  # stage -> EngineCounters
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # the run budget's: stage -> seconds
 
     def as_dict(self) -> dict:
         out = asdict(self)
@@ -165,37 +144,22 @@ class Verdict:
     metrics: PipelineMetrics = field(default_factory=PipelineMetrics)
 
 
-class _Stopwatch:
-    """Times the stages and counts their engine work on the budget."""
-
-    def __init__(self, budget: Budget, timings: dict):
-        self.timings = timings  # stage -> seconds, summed over its entries
-        self.current: str | None = None  # the last stage entered
-        self.budget = budget
-
-    @contextmanager
-    def stage(self, name: str):
-        self.current = name
-        t0 = time.perf_counter()
-        try:
-            with self.budget.stage(name):
-                yield
-        finally:
-            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
-
-
 # -- minimal polynomials ----------------------------------------------------
 
 
-def minimal_polynomial(f: Polynomial, basis: GroebnerBasis, limits=None,
-                       power_cap: int = 32, term_cap: int = 5000) -> MinimalPolynomial | None:
+POWER_CAP = 32  # powers of f tried before the elimination
+TERM_CAP = 5000  # terms in a power of f past which the elimination runs
+
+
+def minimal_polynomial(f: Polynomial, basis: GroebnerBasis,
+                       limits=None) -> MinimalPolynomial | None:
     """Monic generator of { p in Q[y] : p(f) lies in the ideal }, or None.
 
     Modulo the unit ideal everything is 0, so the answer is y by convention.
     A linear-algebra phase looks for a dependence among normal forms of
     powers of f (and certifies the minimal degree when it finds one); if the
-    powers grow past the caps without a dependence, a block-order elimination
-    settles algebraicity outright.
+    powers grow past POWER_CAP or TERM_CAP without a dependence, a
+    block-order elimination settles algebraicity outright.
     """
     budget = Budget.of(limits)
     ring = basis.ring
@@ -209,14 +173,14 @@ def minimal_polynomial(f: Polynomial, basis: GroebnerBasis, limits=None,
     factor, terms = table.pack(nf), table.pack(ring.one)
     echelon = PolyEchelon()
     echelon.insert(terms)
-    for k in range(1, power_cap + 1):
+    for k in range(1, POWER_CAP + 1):
         budget.tick()
         terms = table.product([(terms, factor)], budget)
         status, data = echelon.insert(terms)
         if status == "dependent":
             coeffs = tuple(-Fraction(data.get(i, 0)) for i in range(k)) + (Fraction(1),)
             return MinimalPolynomial(coeffs)
-        if len(terms) > term_cap:
+        if len(terms) > TERM_CAP:
             break
         if budget.max_degree is not None and max(
                 sum(table.packing.unpack(p)) for _, p, _ in terms) > budget.max_degree:
@@ -356,8 +320,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
     budget = Budget(opts.limits)
     order = base_order(opts.order)
     metrics = PipelineMetrics(n=n, s=p.num_generators, engine=budget.counters,
-                              engine_by_stage=budget.stages)
-    clock = _Stopwatch(budget, metrics.timings)
+                              engine_by_stage=budget.stages, timings=budget.timings)
 
     space = build_generic_space(n, p.num_generators)
     metrics.variables = space.ring.nvars()
@@ -365,7 +328,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
     run = PipelineRun(decision_input, space, Ideal(space.ring), None, None, (), verdict, budget)
 
     try:
-        with clock.stage("relations"):
+        with budget.stage("relations"):
             relations = relations_ideal(p, space)
             metrics.relation_generators = len(relations.generators)
             run.relations = relations
@@ -374,13 +337,12 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
             metrics.relations_gb_size = len(relations_basis.elements)
             metrics.relations_gb_max_degree = relations_basis.max_degree()
 
-        with clock.stage("certificates"):
-            max_len = decision_input.word_length_bound
-            metrics.word_length_bound = max_len
+        with budget.stage("certificates"):
             if n == 1:
                 values = [space.ring.one]
                 candidates = 1
             else:
+                max_len = metrics.word_length_bound = length_bound(n)
                 metrics.certificate_words = len(certificate_words(space.s, max_len, n))
                 if relations_basis.is_unit:
                     values, candidates = [], 0
@@ -390,14 +352,14 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
             metrics.certificate_candidates = candidates
             metrics.certificate_values = len(values)
 
-        with clock.stage("locus"):
+        with budget.stage("locus"):
             locus, multipliers = saturated_locus(relations_basis, values, order, budget)
             metrics.multipliers = len(multipliers)
             run.locus_basis = locus
             metrics.locus_gb_size = len(locus.elements)
             metrics.locus_gb_max_degree = locus.max_degree()
 
-        with clock.stage("algebraic"):
+        with budget.stage("algebraic"):
             gens = trace_generators(space, locus.table, budget)
             run.generators = gens
             metrics.trace_generator_count = len(gens)
@@ -417,7 +379,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
                                       metrics=metrics)
     except ResourceLimitExceeded as stop:
         run.verdict = Verdict(Outcome.INCONCLUSIVE, inconclusive_reason=str(stop),
-                              inconclusive_stage=clock.current, metrics=metrics)
+                              inconclusive_stage=budget.current, metrics=metrics)
     return run
 
 

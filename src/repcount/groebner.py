@@ -75,9 +75,10 @@ class EngineCounters:
 
 class Budget:
     """Deadline-based view of ResourceLimits, shared across pipeline stages,
-    and the engine counters of the work done under it."""
+    and the engine counters and seconds of the work done under it."""
 
-    __slots__ = ("deadline", "max_degree", "max_basis", "counters", "stages")
+    __slots__ = ("deadline", "max_degree", "max_basis", "counters", "stages", "timings",
+                 "current")
 
     def __init__(self, limits: ResourceLimits | None = None):
         limits = limits or ResourceLimits()
@@ -86,17 +87,23 @@ class Budget:
         self.max_basis = limits.max_basis
         self.counters = EngineCounters()
         self.stages: dict = {}  # stage name -> EngineCounters of the work done in it
+        self.timings: dict = {}  # stage name -> seconds, summed over its entries
+        self.current: str | None = None  # the last stage entered
 
     @contextmanager
     def stage(self, name: str):
         """Count the work done in the block in `stages[name]` as well, so the
-        stages add up to `counters`; max_coeff_bits is the stage's own."""
+        stages add up to `counters`; max_coeff_bits is the stage's own.  The
+        block's seconds add to `timings[name]`."""
+        self.current = name
         counters = self.counters
         widest, counters.max_coeff_bits = counters.max_coeff_bits, 0
         before = astuple(counters)
+        t0 = time.perf_counter()
         try:
             yield
         finally:
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
             spent = self.stages.setdefault(name, EngineCounters())
             for f, then in zip(fields(counters), before):
                 now, sofar = getattr(counters, f.name), getattr(spent, f.name)

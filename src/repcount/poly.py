@@ -218,9 +218,6 @@ class Polynomial:
                     out.add(p)
         return out
 
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial | None":
@@ -492,7 +489,7 @@ def monomial_div(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(sub, a, b))
 
 
-def _int_if_integral(c: Fraction):
+def int_if_integral(c: Fraction):
     """c as an int when it is integral, else c itself."""
     return c.numerator if c.denominator == 1 else c
 
@@ -641,7 +638,7 @@ class DivisorTable:
         if self.packing is None:
             self.ring, self.packing = f.ring, self.order.packing(f.ring.nvars())
         key, pack = self.packing.key, self.packing.pack
-        return [(key(m), pack(m), _int_if_integral(c)) for m, c in f.terms.items()]
+        return [(key(m), pack(m), int_if_integral(c)) for m, c in f.terms.items()]
 
     def polynomial(self, terms: Iterable[tuple]) -> Polynomial:
         unpack = self.packing.unpack
@@ -702,7 +699,7 @@ class DivisorTable:
             for index, (k, p, c) in enumerate(out):
                 if budget is not None:
                     budget.tick()
-                out[index] = (k, p, _int_if_integral(Fraction(c, multiplier)))
+                out[index] = (k, p, int_if_integral(Fraction(c, multiplier)))
         return out
 
     def pseudo_remainder(self, terms: Iterable[tuple], budget=None) -> list:

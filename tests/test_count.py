@@ -129,11 +129,11 @@ class TestAlgebraStructure:
     def test_gram_is_symmetric(self, pipelines):
         run = pipelines("s3", 1)
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
-        report = trace_form(algebra)
+        gram = trace_form(algebra)
         d = algebra.dimension
         for i in range(d):
             for j in range(d):
-                assert report.gram[i][j] == report.gram[j][i]
+                assert gram[i][j] == gram[j][i]
 
     def test_idempotent_structure_constants(self, pipelines):
         run = pipelines("idempotent", 1)
@@ -247,7 +247,7 @@ class TestStructureOracle:
         assert algebra.basis == basis
         assert algebra.columns == columns
         assert algebra.traces == direct_traces(structure)
-        assert trace_form(algebra).gram == direct_gram(structure)
+        assert trace_form(algebra) == direct_gram(structure)
 
     def test_c4_c6_counts_its_points(self):
         report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))

@@ -82,10 +82,11 @@ class TestMinimalPolynomial:
             assert mp is not None
             assert basis.normal_form(mp.evaluate(f)).is_zero
 
-    def test_elimination_fallback_agrees(self):
+    def test_elimination_fallback_agrees(self, monkeypatch):
         basis = basis_of(U * U - U)
         fast = minimal_polynomial(U, basis)
-        slow = minimal_polynomial(U, basis, power_cap=0)
+        monkeypatch.setattr("repcount.decide.POWER_CAP", 0)
+        slow = minimal_polynomial(U, basis)
         assert fast.coeffs == slow.coeffs
 
     def test_mixed_variable_element(self):
@@ -291,13 +292,6 @@ class TestPipeline:
             RunOptions(order="deglex")
         with pytest.raises(ValueError):
             DecisionInput(parse_presentation("generators:\n"), 0)
-
-    def test_length_bound_override(self):
-        p = parse_presentation("generators: X, Y\nrelation: X*Y - Y*X\n")
-        options = RunOptions(length_bound_override=2)
-        run = run_pipeline(DecisionInput(p, 2, options))
-        assert run.verdict.metrics.word_length_bound == 2
-        assert run.verdict.outcome is Outcome.FINITE
 
     def test_timings_cover_the_stages(self, pipelines):
         run = pipelines("idempotent", 1)
