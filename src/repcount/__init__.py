@@ -3,9 +3,9 @@ of finitely presented associative algebras over Q.
 
 Typical use:
 
-    from repcount import parse_presentation, DecisionInput, decide_finiteness
+    from repcount import parse_presentation, run_pipeline
     p = parse_presentation("generators: X\\nrelation: X^2 - X\\n")
-    verdict = decide_finiteness(DecisionInput(p, 1))
+    verdict = run_pipeline(p, 1).verdict
 
 `count_classes` / `count_from_run` turn a finite verdict into the exact
 number of equivalence classes over the algebraic closure.
@@ -21,14 +21,11 @@ from .count import (
     trace_form,
 )
 from .decide import (
-    DecisionInput,
     MinimalPolynomial,
     Outcome,
     PipelineRun,
-    RunOptions,
     Verdict,
     collapsed_certificate_values,
-    decide_finiteness,
     minimal_polynomial,
     run_pipeline,
     saturated_locus,

@@ -23,7 +23,7 @@ import traceback
 from pathlib import Path
 
 from .count import CountReport, InfiniteRepresentations, build_quotient_algebra, count_from_run
-from .decide import DEFAULT_LIMITS, DecisionInput, Outcome, PipelineRun, RunOptions, run_pipeline
+from .decide import DEFAULT_LIMITS, Outcome, PipelineRun, run_pipeline
 from .genmat import certificate_words, certificates, length_bound, trace_generators
 from .groebner import ResourceLimitExceeded, ResourceLimits
 from .presentation import PresentationError, parse_presentation
@@ -69,20 +69,19 @@ def _read_input(path: str) -> tuple[str, str]:
     return p.read_text(), p.stem
 
 
-def _options(args: argparse.Namespace) -> RunOptions:
-    limits = ResourceLimits(
+def _limits(args: argparse.Namespace) -> ResourceLimits:
+    return ResourceLimits(
         max_seconds=None if args.max_seconds is not None and args.max_seconds <= 0
         else args.max_seconds,
         max_degree=args.max_degree,
         max_basis=args.max_basis)
-    return RunOptions(order=args.order, limits=limits)
 
 
 def _run(args: argparse.Namespace) -> PipelineRun:
     """Parse the input and run the pipeline."""
     text, name = _read_input(args.path)
     presentation = parse_presentation(text, name=name)
-    return run_pipeline(DecisionInput(presentation, args.dimension, _options(args)))
+    return run_pipeline(presentation, args.dimension, args.order, _limits(args))
 
 
 def _json_payload(run: PipelineRun, report: CountReport | None,
@@ -140,7 +139,12 @@ def _emit_dumps(targets, run: PipelineRun, report: CountReport | None,
                 print(g, file=err)
         elif target == "traces":
             # the run keeps the values reduced modulo the locus; print tr(w) itself
-            generators = trace_generators(run.space) if run.generators else ()
+            try:
+                generators = (trace_generators(run.space, limits=run.budget)
+                              if run.generators else ())
+            except ResourceLimitExceeded as stop:
+                print("# trace generator dump stopped: %s" % stop, file=err)
+                continue
             print("# trace generators (%d)" % len(generators), file=err)
             for tg in generators:
                 print("%s = %s" % (tg.render(), tg.value), file=err)
@@ -152,8 +156,10 @@ def _emit_dumps(targets, run: PipelineRun, report: CountReport | None,
 
 def _dump_certificates(run: PipelineRun, err) -> None:
     """Stream the unreduced certificates on the words the pipeline uses, one
-    per set of 2n - 1 words, one by one; nothing is retained."""
-    n = run.input.n
+    per set of 2n - 1 words, one by one; nothing is retained.  The stream
+    stops at the run's deadline: there are C(155, 4) = 23,130,030 sets on
+    the free algebra on two generators at n = 3."""
+    n = run.space.n
     if n == 1:
         print("# certificate set for n = 1", file=err)
         print("1", file=err)
@@ -162,9 +168,14 @@ def _dump_certificates(run: PipelineRun, err) -> None:
     print("# certificates tr(M0 * s_%d(...)), one per set of %d words up to length %d "
           "with no factor u^%d" % (2 * (n - 1), 2 * n - 1, max_len, n), file=err)
     emitted = 0
-    for words, poly in certificates(run.space, certificate_words(run.space.s, max_len, n)):
-        emitted += 1
-        print("words=%r : %s" % (words, poly), file=err)
+    try:
+        for words, poly in certificates(run.space, certificate_words(run.space.s, max_len, n),
+                                        limits=run.budget):
+            emitted += 1
+            print("words=%r : %s" % (words, poly), file=err)
+    except ResourceLimitExceeded as stop:
+        print("# certificate dump stopped: %s after %d certificates" % (stop, emitted), file=err)
+        return
     print("# %d nonzero certificates streamed" % emitted, file=err)
 
 
@@ -188,7 +199,7 @@ def _dump_algebra(run: PipelineRun, report: CountReport | None, err,
     for b in algebra.basis:
         print(b, file=err)
     if report is not None:
-        print("# gram matrix of the trace form (rank %d)" % report.rank, file=err)
+        print("# gram matrix of the trace form (rank %d)" % report.count, file=err)
         for row in report.gram:
             print("[" + ", ".join(str(c) for c in row) + "]", file=err)
 
@@ -273,7 +284,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     print(report.count)
     if args.verbose:
         print("trace algebra dimension: %d, trace form rank: %d"
-              % (report.algebra_dimension, report.rank))
+              % (report.algebra_dimension, report.count))
         _verbose_decide(run)
     return 0
 

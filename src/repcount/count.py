@@ -156,7 +156,6 @@ class CountReport:
     count: int
     algebra_dimension: int
     gram: tuple
-    rank: int
     algebra: FiniteDimAlgebra | None = field(default=None, compare=False, repr=False)
 
 
@@ -170,16 +169,16 @@ def count_classes(locus: GroebnerBasis, generators: Sequence[TraceGenerator],
     then at least 1.
     """
     if locus.is_unit:
-        return CountReport(0, 0, (), 0)
+        return CountReport(0, 0, ())
     budget = Budget.of(limits)
     algebra = build_quotient_algebra(locus, generators, budget)
     gram = trace_form(algebra, budget)
-    rank = matrix_rank(gram, budget)
-    return CountReport(rank, algebra.dimension, gram, rank, algebra)
+    return CountReport(matrix_rank(gram, budget), algebra.dimension, gram, algebra)
 
 
 def count_from_run(run: PipelineRun, limits=None) -> CountReport:
-    """Count for a finished decision run; refuses infinite or unsettled runs.
+    """Count for a finished decision run; refuses infinite or unsettled runs,
+    an unsettled one with the overrun that stopped it.
 
     The count runs on the run's own budget unless other limits are given,
     so one deadline covers deciding and counting.  With explicit limits, the
@@ -191,12 +190,11 @@ def count_from_run(run: PipelineRun, limits=None) -> CountReport:
         witness = verdict.witness.render() if verdict.witness else "unknown"
         raise InfiniteRepresentations(
             "infinitely many classes (witness %s)" % witness)
-    if verdict.outcome is Outcome.INCONCLUSIVE or run.locus_basis is None:
-        raise ResourceLimitExceeded(
-            "time", verdict.inconclusive_reason or "decision did not complete")
+    if verdict.outcome is Outcome.INCONCLUSIVE:
+        raise run.overrun
     budget = run.budget if limits is None else Budget.of(limits)
     with budget.stage("count"):
         report = count_classes(run.locus_basis, run.generators, budget)
     verdict.metrics.algebra_dimension = report.algebra_dimension
-    verdict.metrics.gram_rank = report.rank
+    verdict.metrics.gram_rank = report.count
     return report

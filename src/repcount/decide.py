@@ -47,32 +47,11 @@ from .groebner import (
     saturate_principal,
 )
 from .linalg import PolyEchelon
-from .poly import MonomialOrder, Polynomial, base_order, signed_sum
+from .poly import MonomialOrder, Polynomial, signed_sum
 from .presentation import Presentation
 
 
 DEFAULT_LIMITS = ResourceLimits(max_seconds=300.0, max_degree=60, max_basis=20000)
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    order: str = "grevlex"  # base order for non-elimination bases
-    limits: ResourceLimits = DEFAULT_LIMITS
-
-    def __post_init__(self):
-        if self.order not in ("lex", "grevlex"):
-            raise ValueError("order must be 'lex' or 'grevlex'")
-
-
-@dataclass(frozen=True)
-class DecisionInput:
-    presentation: Presentation
-    n: int
-    options: RunOptions = RunOptions()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("representation dimension must be at least 1")
 
 
 class Outcome(str, Enum):
@@ -186,11 +165,12 @@ def minimal_polynomial(f: Polynomial, basis: GroebnerBasis,
                 sum(table.packing.unpack(p)) for _, p, _ in terms) > budget.max_degree:
             break
 
-    # the block order compares the old variables by the basis's own order,
-    # so the basis stays a Groebner basis there and is extended by y - nf
+    # y goes on top and the block order drops the old variables, positions
+    # 1..nvars, comparing them by the basis's own order, so the basis stays
+    # a Groebner basis there and is extended by y - nf
     y = ring.fresh_auxiliary("y")
-    ext = ring.extended(y, top=False)
-    order = MonomialOrder.elimination(tuple(range(ring.nvars())), ext.nvars(), basis.order.scheme)
+    ext = ring.extended(y)
+    order = MonomialOrder.elimination(range(1, ext.nvars()), ext.nvars(), basis.order.scheme)
     gb = buchberger([ext.variable(y) - ext.transfer(nf)], order, budget, ring=ext,
                     known=[ext.transfer(g) for g in basis.elements])
     ypos = ext.position[y]
@@ -302,7 +282,6 @@ def saturated_locus(relations_basis: GroebnerBasis, values: Sequence[Polynomial]
 
 @dataclass
 class PipelineRun:
-    input: DecisionInput
     space: GenericMatrixSpace
     relations: Ideal
     relations_basis: GroebnerBasis | None
@@ -310,26 +289,33 @@ class PipelineRun:
     generators: tuple  # their values are normal forms modulo the locus
     verdict: Verdict
     budget: Budget
+    overrun: ResourceLimitExceeded | None = None  # what made the verdict INCONCLUSIVE
 
 
-def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
-    """Run decide end to end; resource overruns yield an inconclusive verdict."""
-    opts = decision_input.options
-    n = decision_input.n
-    p = decision_input.presentation
-    budget = Budget(opts.limits)
-    order = base_order(opts.order)
-    metrics = PipelineMetrics(n=n, s=p.num_generators, engine=budget.counters,
+def run_pipeline(presentation: Presentation, n: int, order: str = "grevlex",
+                 limits: ResourceLimits = DEFAULT_LIMITS) -> PipelineRun:
+    """Decide whether the presented algebra has finitely many classes of
+    n-dimensional irreducible representations: FINITE, INFINITE (with a
+    trace witness), or INCONCLUSIVE when a resource limit interrupts the
+    computation.  `order`, "grevlex" or "lex", orders the non-elimination
+    bases."""
+    if n < 1:
+        raise ValueError("representation dimension must be at least 1")
+    if order not in ("lex", "grevlex"):
+        raise ValueError("order must be 'lex' or 'grevlex'")
+    budget = Budget(limits)
+    order = MonomialOrder(order)
+    metrics = PipelineMetrics(n=n, s=presentation.num_generators, engine=budget.counters,
                               engine_by_stage=budget.stages, timings=budget.timings)
 
-    space = build_generic_space(n, p.num_generators)
+    space = build_generic_space(n, presentation.num_generators)
     metrics.variables = space.ring.nvars()
     verdict = Verdict(Outcome.INCONCLUSIVE, metrics=metrics)
-    run = PipelineRun(decision_input, space, Ideal(space.ring), None, None, (), verdict, budget)
+    run = PipelineRun(space, Ideal(space.ring), None, None, (), verdict, budget)
 
     try:
         with budget.stage("relations"):
-            relations = relations_ideal(p, space)
+            relations = relations_ideal(presentation, space)
             metrics.relation_generators = len(relations.generators)
             run.relations = relations
             relations_basis = buchberger(relations, order, budget)
@@ -378,12 +364,7 @@ def run_pipeline(decision_input: DecisionInput) -> PipelineRun:
                 run.verdict = Verdict(Outcome.FINITE, minimal_polynomials=minimal,
                                       metrics=metrics)
     except ResourceLimitExceeded as stop:
+        run.overrun = stop
         run.verdict = Verdict(Outcome.INCONCLUSIVE, inconclusive_reason=str(stop),
                               inconclusive_stage=budget.current, metrics=metrics)
     return run
-
-
-def decide_finiteness(decision_input: DecisionInput) -> Verdict:
-    """The decision procedure: Finite, Infinite (with a trace witness), or
-    Inconclusive when a resource limit interrupts the computation."""
-    return run_pipeline(decision_input).verdict

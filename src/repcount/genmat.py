@@ -153,7 +153,9 @@ def _necklaces(s: int, max_len: int) -> list:
 
 
 def _product_sum(table: DivisorTable, pairs: Sequence[tuple], budget: Budget) -> list:
-    """The sum of A * B over the (A, B) pairs of packed matrices."""
+    """The sum of A * B over the (A, B) pairs of packed matrices.  The budget
+    ticks once per call, since with no divisors the products never tick."""
+    budget.tick()
     d = len(pairs[0][0])
     return [[table.product([(a[i][k], b[k][j]) for a, b in pairs for k in range(d)], budget)
              for j in range(d)] for i in range(d)]
@@ -286,7 +288,7 @@ def certificate_terms(space: GenericMatrixSpace, words: Sequence[tuple], table: 
     Every entry of a word matrix and of s_m, and every value, is one
     `DivisorTable.product` of normal forms, which is the normal form of the
     unreduced product since normal forms are linear.  The budget ticks once
-    per (M1..Mm) tuple.
+    per (M1..Mm) tuple and once per matrix product.
     """
     n = space.n
     if n < 2:

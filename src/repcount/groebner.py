@@ -390,7 +390,7 @@ def _eliminate_new_variable(ring: PolyRing, order: MonomialOrder, generators, bu
     """
     ext = ring
     for tag in ["_t"] * extra + ["_w"]:
-        ext = ext.extended(ext.fresh_auxiliary(tag), top=True)
+        ext = ext.extended(ext.fresh_auxiliary(tag))
     dropped = range(extra + 1)  # the positions of w, then of the ts
     block = MonomialOrder.elimination(dropped, ext.nvars(), order.scheme)
     gb = buchberger(generators(ext, *(ext.variable(ext.variables[p]) for p in dropped)), block,

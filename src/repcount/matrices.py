@@ -1,8 +1,10 @@
 """Tiny immutable matrices over whatever coefficients support ring arithmetic.
 
 Entries can be ints, Fractions, or Polynomials (anything with +, -, * and a
-zero test through bool).  The package evaluates the relations on generic
-matrices with them; words and certificates use `genmat`'s packed products.
+zero test through bool).  In the package they only hold the generic
+matrices (`GenericMatrixSpace.matrices`), whose entries `genmat` packs; the
+relations, words, certificates and traces are all evaluated on packed word
+matrices.  The test oracles compute with them directly.
 """
 
 from __future__ import annotations

@@ -115,11 +115,11 @@ class PolyRing:
             index += 1
         return auxiliary(tag, index)
 
-    def extended(self, var: VariableId, *, top: bool = True) -> "PolyRing":
-        """A new ring with one extra variable on top of (or below) this one."""
+    def extended(self, var: VariableId) -> "PolyRing":
+        """A new ring with one extra variable on top of this one."""
         if var in self.position:
             raise ValueError("variable already present: %r" % (var,))
-        return PolyRing((var,) + self.variables if top else self.variables + (var,))
+        return PolyRing((var,) + self.variables)
 
     def transfer(self, f: "Polynomial") -> "Polynomial":
         """Re-express `f` (from a ring sharing variable ids) in this ring.
@@ -340,12 +340,9 @@ class Polynomial:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
-    def sorted_terms(self, order: "MonomialOrder | None" = None) -> list:
-        """Terms in descending order (default: by total degree, then lex)."""
-        if order is None:
-            return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        key = order.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+    def sorted_terms(self) -> list:
+        """Terms in descending order: by total degree, then lex."""
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def __repr__(self) -> str:
         vs = self.ring.variables
@@ -458,14 +455,6 @@ class MonomialOrder:
 
 GREVLEX = MonomialOrder.grevlex()
 LEX = MonomialOrder.lex()
-
-
-def base_order(name: str) -> MonomialOrder:
-    if name == "grevlex":
-        return MonomialOrder.grevlex()
-    if name == "lex":
-        return MonomialOrder.lex()
-    raise ValueError("unknown base order %r" % name)
 
 
 # -- leading terms and division ---------------------------------------------

@@ -1,6 +1,6 @@
 """Finitely presented associative algebras over Q.
 
-A presentation is a list of generator symbols plus relations, each relation a
+A presentation is a tuple of generator names plus relations, each relation a
 Q-linear combination of words in the generators.  The text format is line
 oriented:
 
@@ -38,12 +38,6 @@ class PresentationError(ValueError):
 
 class ZeroRelationWarning(UserWarning):
     """A relation simplified to zero and was dropped."""
-
-
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    index: int
 
 
 class FreeElement:
@@ -174,17 +168,13 @@ class FreeElement:
 
 @dataclass(frozen=True)
 class Presentation:
-    generators: tuple
+    generators: tuple  # names; generator k is the letter k of the relations' words
     relations: tuple
     name: str | None = None
 
     def __post_init__(self):
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
-        for k, g in enumerate(self.generators):
-            if g.index != k:
-                raise ValueError("generator indices must be 0..s-1 in order")
         s = len(self.generators)
         for r in self.relations:
             if r.max_letter() >= s:
@@ -366,7 +356,7 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
                     raise PresentationError("duplicate generator %r" % nm, line_no,
                                             line.index(nm) + 1)
                 gen_index[nm] = len(gen_index)
-            generators = tuple(GeneratorSymbol(nm, k) for k, nm in enumerate(gen_index))
+            generators = tuple(gen_index)
         elif stripped.startswith("relation:"):
             if generators is None:
                 raise PresentationError("relation before the generators line", line_no, indent + 1)
@@ -400,7 +390,6 @@ def format_element(e: FreeElement, names: Sequence[str]) -> str:
 
 def format_presentation(p: Presentation) -> str:
     """Canonical text for a presentation; parse(format(p)) round-trips."""
-    names = [g.name for g in p.generators]
-    lines = ["generators: " + " ".join(names)]
-    lines += ["relation: " + format_element(r, names) for r in p.relations]
+    lines = ["generators: " + " ".join(p.generators)]
+    lines += ["relation: " + format_element(r, p.generators) for r in p.relations]
     return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from repcount import DecisionInput, ResourceLimits, RunOptions, parse_presentation, run_pipeline
+from repcount import ResourceLimits, parse_presentation, run_pipeline
 
 ALGEBRAS = Path(__file__).resolve().parent.parent / "algebras"
 
@@ -27,10 +27,9 @@ def pipelines():
     def run_for(name, n, max_seconds=300.0):
         key = (name, n)
         if key not in cache:
-            options = RunOptions(
-                limits=ResourceLimits(max_seconds=max_seconds, max_degree=60, max_basis=20000))
+            limits = ResourceLimits(max_seconds=max_seconds, max_degree=60, max_basis=20000)
             t0 = time.perf_counter()
-            cache[key] = run_pipeline(DecisionInput(load(name), n, options))
+            cache[key] = run_pipeline(load(name), n, limits=limits)
             durations[key] = time.perf_counter() - t0
         return cache[key]
 

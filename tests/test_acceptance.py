@@ -9,11 +9,12 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import sympy
 
 from repcount.count import count_from_run
-from repcount.decide import DecisionInput, Outcome, RunOptions, run_pipeline
+from repcount.decide import Outcome, run_pipeline
 from repcount.genmat import build_generic_space, length_bound, trace_generators
 from repcount.groebner import (
     Ideal,
@@ -40,9 +41,8 @@ def report(label, ok=True):
 
 
 def fresh_run(name, n):
-    options = RunOptions(limits=ResourceLimits(max_seconds=300.0, max_degree=60,
-                                               max_basis=20000))
-    return run_pipeline(DecisionInput(load(name), n, options))
+    limits = ResourceLimits(max_seconds=300.0, max_degree=60, max_basis=20000)
+    return run_pipeline(load(name), n, limits=limits)
 
 
 def rational_matrix(rng, d):
@@ -160,7 +160,7 @@ def test_criterion_5_random_zero_dimensional_oracle():
             lines = ["generators: X"] + lines
         text = "\n".join(lines) + "\n"
         presentation = parse_presentation(text, name="random-%d" % checked)
-        run = run_pipeline(DecisionInput(presentation, 1))
+        run = run_pipeline(presentation, 1)
         assert run.verdict.outcome is Outcome.FINITE, text
         got = count_from_run(run).count
         assert got == expected, (text, got, expected)
@@ -276,3 +276,17 @@ def test_criterion_7_s3_trace_point_is_conjugation_invariant():
     report("S3 2-dim representation: 15 trace values invariant under 5 random "
            "conjugations (%.2fs)" % took)
 
+
+def test_readme_library_example(capsys, monkeypatch):
+    # the `## Library` code block of README.md, run from the repository root,
+    # prints what its comments say: the documented call cannot drift
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    assert expected == ["Outcome.FINITE", "1"]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+    report("README library example prints %s" % ", ".join(expected))

@@ -1,6 +1,9 @@
 """Command line behavior: outputs, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -258,6 +261,28 @@ class TestDumps:
         assert "(0, 1, 0)" in err
         assert "(0, 0)" not in err and "(1, 1)" not in err
 
+    @pytest.mark.parametrize("name, code, out", [("free2", 3, ""), ("weyl", 0, "FINITE\n")])
+    def test_certificate_dump_stops_at_the_deadline(self, name, code, out):
+        # two letters have 155 power-free words at n = 3, hence C(155, 4)
+        # word sets: the dump streams on the run's budget and stops with it,
+        # after the decision overran it (free2) or finished (weyl), and the
+        # run keeps its own output and exit code.  A fresh interpreter with
+        # its own timeout fails the test instead of hanging it
+        src = ALGEBRAS.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        budget = 1.0
+        t0 = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-m", "repcount.cli", "decide", alg(name), "-n", "3",
+             "--dump", "sset", "--max-seconds", str(budget)],
+            capture_output=True, text=True, env=env, timeout=60)
+        elapsed = time.monotonic() - t0
+        assert result.returncode == code
+        assert result.stdout == out
+        assert "# certificate dump stopped: time limit exceeded after " in result.stderr
+        assert elapsed < budget + 2.0
+
     def test_algebra_dump(self, capsys):
         code, out, err = run_cli(capsys, "count", alg("idempotent"), "-n", "1",
                                  "--dump", "algebra")
@@ -309,8 +334,8 @@ class TestBudget:
         # second full budget started after the decision.  The decision is
         # made to take 0.4 s, so a fresh 0.5 s budget for the count would
         # end the run past 0.9 s
-        def slow_run_pipeline(decision_input):
-            run = run_pipeline(decision_input)
+        def slow_run_pipeline(*args):
+            run = run_pipeline(*args)
             time.sleep(0.4)
             return run
 

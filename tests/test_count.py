@@ -22,7 +22,7 @@ from repcount.count import (
     count_from_run,
     trace_form,
 )
-from repcount.decide import DecisionInput, Outcome, decide_finiteness, run_pipeline
+from repcount.decide import Outcome, run_pipeline
 from repcount.groebner import ResourceLimitExceeded, ResourceLimits, buchberger
 from repcount.poly import DivisorTable, MonomialOrder
 from repcount.presentation import parse_presentation
@@ -78,8 +78,8 @@ class TestCorpusCounts:
 
     def test_no_generators(self):
         p = parse_presentation("generators:\n")
-        assert count_from_run(run_pipeline(DecisionInput(p, 1))).count == 1
-        assert count_from_run(run_pipeline(DecisionInput(p, 2))).count == 0
+        assert count_from_run(run_pipeline(p, 1)).count == 1
+        assert count_from_run(run_pipeline(p, 2)).count == 0
 
 
 class TestGuards:
@@ -101,11 +101,24 @@ class TestGuards:
 
     def test_count_runs_on_the_run_budget(self):
         p = parse_presentation((ALGEBRAS / "idempotent.alg").read_text())
-        run = run_pipeline(DecisionInput(p, 1))
+        run = run_pipeline(p, 1)
         run.budget.deadline = time.monotonic() - 1.0  # the decision used it all up
         with pytest.raises(ResourceLimitExceeded):
             count_from_run(run)
         assert count_from_run(run, ResourceLimits()).count == 2  # explicit limits
+
+    def test_inconclusive_run_reraises_its_own_overrun(self):
+        # the decision stops on the degree cap; counting the run raises
+        # that overrun, not a time limit that wraps its message
+        p = parse_presentation((ALGEBRAS / "s3.alg").read_text())
+        run = run_pipeline(p, 2, limits=ResourceLimits(max_degree=1))
+        verdict = run.verdict
+        assert verdict.outcome is Outcome.INCONCLUSIVE
+        assert verdict.inconclusive_stage == "relations"
+        with pytest.raises(ResourceLimitExceeded) as info:
+            count_from_run(run)
+        assert info.value.kind == "degree"
+        assert str(info.value) == verdict.inconclusive_reason
 
     def test_metrics_updated(self, pipelines):
         run = pipelines("idempotent", 1)
@@ -240,7 +253,7 @@ class TestStructureOracle:
 
     @pytest.mark.parametrize("text,n", _oracle_cases())
     def test_recurrence_matches_direct_products(self, text, n):
-        run = run_pipeline(DecisionInput(parse_presentation(text), n))
+        run = run_pipeline(parse_presentation(text), n)
         assert run.verdict.outcome is Outcome.FINITE and not run.locus_basis.is_unit
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
         basis, columns, structure = direct_algebra(run.locus_basis, run.generators)
@@ -250,24 +263,24 @@ class TestStructureOracle:
         assert trace_form(algebra) == direct_gram(structure)
 
     def test_c4_c6_counts_its_points(self):
-        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))
+        report = count_from_run(run_pipeline(parse_presentation(C4_C6), 1))
         assert report.algebra_dimension == 24
         assert report.count == 24
 
     def test_triangular_rank_is_below_the_dimension(self):
-        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(TRIANGULAR), 1)))
+        report = count_from_run(run_pipeline(parse_presentation(TRIANGULAR), 1))
         assert report.algebra_dimension == 24
         assert report.count == 12
 
     def test_integral_constants_are_ints(self):
-        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(C4_C6), 1)))
+        report = count_from_run(run_pipeline(parse_presentation(C4_C6), 1))
         constants = [c for column in chain(*report.algebra.columns) for c in column.values()]
         assert constants and all(type(c) is int for c in constants)
         assert all(type(c) is int for c in report.algebra.traces)
         assert all(type(c) is int for row in report.gram for c in row)
 
     def test_non_integral_algebra_keeps_its_fractions(self):
-        run = run_pipeline(DecisionInput(parse_presentation(NON_INTEGRAL), 1))
+        run = run_pipeline(parse_presentation(NON_INTEGRAL), 1)
         report = count_from_run(run)
         _, columns, structure = direct_algebra(run.locus_basis, run.generators)
         gram = direct_gram(structure)
@@ -281,7 +294,7 @@ class TestStructureOracle:
     def test_remainder_returns_ints_where_integral(self):
         # the triangular locus basis is monic with Fraction tails, so its
         # reductions pass through Fractions that are often integral
-        run = run_pipeline(DecisionInput(parse_presentation(TRIANGULAR), 1))
+        run = run_pipeline(parse_presentation(TRIANGULAR), 1)
         table = run.locus_basis.table
         algebra = build_quotient_algebra(run.locus_basis, run.generators)
         elements = [table.pack(b) for b in algebra.basis]
@@ -292,7 +305,7 @@ class TestStructureOracle:
         assert not [c for c in outputs if type(c) is Fraction and c.denominator == 1]
 
     def test_dimension_cap_is_a_basis_limit(self, monkeypatch, capsys, tmp_path):
-        run = run_pipeline(DecisionInput(parse_presentation(C4_C6), 1))
+        run = run_pipeline(parse_presentation(C4_C6), 1)
         monkeypatch.setattr(count, "MAX_DIMENSION", 10)  # C4 x C6 has dimension 24
         with pytest.raises(ResourceLimitExceeded) as info:
             build_quotient_algebra(run.locus_basis, run.generators)
@@ -310,7 +323,7 @@ class TestStructureOracle:
         # peak was about 6 MB, and the multiplication matrices and the live
         # trace functionals take about 1.3 MB
         text = _presentation("x, y", "x^24 - 1", "y^24 - 1", "x*y - y*x")
-        run = run_pipeline(DecisionInput(parse_presentation(text), 1))
+        run = run_pipeline(parse_presentation(text), 1)
         tracemalloc.start()
         try:
             algebra = build_quotient_algebra(run.locus_basis, run.generators)
@@ -323,7 +336,7 @@ class TestStructureOracle:
     def test_normal_forms_are_one_per_closure_product(self, monkeypatch):
         # every reduction, a Polynomial's normal form or a product of packed
         # terms, ends in one DivisorTable.remainder call
-        run = run_pipeline(DecisionInput(parse_presentation(C4_C6), 1))
+        run = run_pipeline(parse_presentation(C4_C6), 1)
         calls = []
         original = DivisorTable.remainder
 
@@ -369,5 +382,5 @@ class TestGroupAlgebras:
     def test_count_is_the_number_of_characters_of_degree_n(self, name, text, order,
                                                            degrees, n):
         assert sum(d * d for d in degrees) == order
-        report = count_from_run(run_pipeline(DecisionInput(parse_presentation(text), n)))
+        report = count_from_run(run_pipeline(parse_presentation(text), n))
         assert report.count == degrees.count(n), (name, n)

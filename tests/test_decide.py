@@ -6,13 +6,10 @@ import pytest
 
 from repcount import decide, groebner
 from repcount.decide import (
-    DecisionInput,
     MinimalPolynomial,
     Outcome,
-    RunOptions,
     _shrink_multipliers,
     collapsed_certificate_values,
-    decide_finiteness,
     minimal_polynomial,
     run_pipeline,
     saturated_locus,
@@ -186,7 +183,7 @@ class TestLocusOracle:
         # the pipeline saturates the relations basis at all multipliers in
         # one elimination; the oracle saturate iterates colon ideals of the
         # raw relations at all certificate values until they stabilize
-        run = run_pipeline(DecisionInput(presentation, 2))
+        run = run_pipeline(presentation, 2)
         assert run.verdict.outcome is outcome
         assert run.verdict.metrics.multipliers == multipliers
         values, _ = collapsed_certificate_values(
@@ -210,7 +207,7 @@ class TestOneSaturation:
 
         monkeypatch.setattr(decide, "saturate_principal", counted)
         monkeypatch.setattr(groebner, "intersect", unused)
-        run = run_pipeline(DecisionInput(parse_presentation(IDEMPOTENTS), 2))
+        run = run_pipeline(parse_presentation(IDEMPOTENTS), 2)
         assert run.verdict.outcome is Outcome.INFINITE
         assert calls == [3]
 
@@ -253,7 +250,7 @@ class TestPipeline:
         # one generic matrix only commutes with its own powers: no
         # irreducible pair exists, certificates vanish, verdict finite
         p = parse_presentation("generators: X\n")
-        verdict = decide_finiteness(DecisionInput(p, 2))
+        verdict = run_pipeline(p, 2).verdict
         assert verdict.outcome is Outcome.FINITE
         assert verdict.metrics.certificate_values == 0
 
@@ -268,30 +265,30 @@ class TestPipeline:
 
     def test_no_generators(self):
         p = parse_presentation("generators:\n")
-        v1 = decide_finiteness(DecisionInput(p, 1))
+        v1 = run_pipeline(p, 1).verdict
         assert v1.outcome is Outcome.FINITE
-        v2 = decide_finiteness(DecisionInput(p, 2))
+        v2 = run_pipeline(p, 2).verdict
         assert v2.outcome is Outcome.FINITE
 
     def test_inconsistent_presentation_is_trivially_finite(self):
         p = parse_presentation("generators: X\nrelation: 1\n")
-        v = decide_finiteness(DecisionInput(p, 1))
+        v = run_pipeline(p, 1).verdict
         assert v.outcome is Outcome.FINITE
         assert v.metrics.locus_gb_size == 1
 
     def test_tiny_budget_is_inconclusive(self):
         p = parse_presentation("generators: a, b\nrelation: a^2 - 1\nrelation: b^3 - 1\n"
                                "relation: a*b*a*b - 1\n")
-        options = RunOptions(limits=ResourceLimits(max_seconds=0.0))
-        verdict = decide_finiteness(DecisionInput(p, 2, options))
+        verdict = run_pipeline(p, 2, limits=ResourceLimits(max_seconds=0.0)).verdict
         assert verdict.outcome is Outcome.INCONCLUSIVE
         assert "time" in verdict.inconclusive_reason
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            RunOptions(order="deglex")
-        with pytest.raises(ValueError):
-            DecisionInput(parse_presentation("generators:\n"), 0)
+        p = parse_presentation("generators:\n")
+        with pytest.raises(ValueError, match="order must be 'lex' or 'grevlex'"):
+            run_pipeline(p, 1, order="deglex")
+        with pytest.raises(ValueError, match="representation dimension must be at least 1"):
+            run_pipeline(p, 0)
 
     def test_timings_cover_the_stages(self, pipelines):
         run = pipelines("idempotent", 1)
@@ -304,7 +301,7 @@ class TestPipeline:
         monkeypatch.setattr("repcount.decide.certificate_words",
                             lambda s, max_len, n: all_words(s, max_len))
         for name, run in reduced.items():
-            full = run_pipeline(DecisionInput(load(name), 2))
+            full = run_pipeline(load(name), 2)
             assert full.verdict.metrics.certificate_candidates > \
                 run.verdict.metrics.certificate_candidates
             assert [str(g) for g in full.locus_basis.elements] == \

@@ -5,16 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from repcount import (
-    DecisionInput,
-    FreeElement,
-    Outcome,
-    Presentation,
-    RunOptions,
-    count_from_run,
-    run_pipeline,
-)
-from repcount.presentation import GeneratorSymbol
+from repcount import FreeElement, Outcome, Presentation, count_from_run, run_pipeline
 
 from conftest import load
 
@@ -31,10 +22,9 @@ def answer(run):
 def swap_generators(p: Presentation) -> Presentation:
     """The same algebra with the generator order reversed."""
     last = p.num_generators - 1
-    generators = tuple(GeneratorSymbol(g.name, last - g.index) for g in reversed(p.generators))
     relations = tuple(FreeElement({tuple(last - l for l in w): c for w, c in r.terms.items()})
                       for r in p.relations)
-    return Presentation(generators, relations, p.name)
+    return Presentation(p.generators[::-1], relations, p.name)
 
 
 def scale_relation(p: Presentation) -> Presentation:
@@ -47,7 +37,7 @@ def tietze(p: Presentation) -> Presentation:
     """The same algebra with a new generator t and the relation t - x1*x2."""
     s = p.num_generators
     t = FreeElement.generator(s)
-    return Presentation(p.generators + (GeneratorSymbol("t", s),),
+    return Presentation(p.generators + ("t",),
                         p.relations + (t - FreeElement.word((0, 1)),), p.name)
 
 
@@ -60,12 +50,12 @@ MOVES = [pytest.param(name, n, move, id="%s-n%d-%s" % (name, n, move.__name__))
 
 @pytest.mark.parametrize("name, n, move", MOVES)
 def test_presentation_move_keeps_the_answer(pipelines, name, n, move):
-    moved = run_pipeline(DecisionInput(move(load(name)), n))
+    moved = run_pipeline(move(load(name)), n)
     assert answer(moved) == answer(pipelines(name, n))
 
 
 @pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("n", (1, 2))
 def test_lex_order_keeps_the_answer(pipelines, name, n):
-    lex = run_pipeline(DecisionInput(load(name), n, RunOptions(order="lex")))
+    lex = run_pipeline(load(name), n, order="lex")
     assert answer(lex) == answer(pipelines(name, n))

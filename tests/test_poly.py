@@ -77,7 +77,7 @@ class TestRing:
 
     def test_extended_and_transfer_round_trip(self):
         w = R3.fresh_auxiliary("w")
-        ext = R3.extended(w, top=True)
+        ext = R3.extended(w)
         f = X * X + Y * 2 + 1
         g = ext.transfer(f)
         assert g.ring is ext
